@@ -101,7 +101,7 @@ func BenchmarkFig3bVecAddObserved(b *testing.B) {
 // over a reduced sweep.
 func BenchmarkFig3cVecAddNormalised(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	cfg.SizesVecAdd = []int{1 << 14, 1 << 15, 1 << 16}
+	cfg.Sizes = map[string][]int{"vecadd": {1 << 14, 1 << 15, 1 << 16}}
 	runner, err := experiments.NewRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -190,9 +190,11 @@ func BenchmarkFig5bMatMulObserved(b *testing.B) {
 // hardware).
 func BenchmarkFig6TransferProportions(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	cfg.SizesVecAdd = []int{1 << 14, 1 << 16}
-	cfg.SizesReduce = []int{1 << 14, 1 << 16}
-	cfg.SizesMatMul = []int{32, 64}
+	cfg.Sizes = map[string][]int{
+		"vecadd": {1 << 14, 1 << 16},
+		"reduce": {1 << 14, 1 << 16},
+		"matmul": {32, 64},
+	}
 	runner, err := experiments.NewRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -221,7 +223,7 @@ func BenchmarkFig6TransferProportions(b *testing.B) {
 // shares, SWGPU captured share, slope ratios) on a reduced vecadd sweep.
 func BenchmarkSummaryStatistics(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	cfg.SizesVecAdd = []int{1 << 14, 1 << 15, 1 << 16}
+	cfg.Sizes = map[string][]int{"vecadd": {1 << 14, 1 << 15, 1 << 16}}
 	runner, err := experiments.NewRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -247,14 +249,14 @@ func BenchmarkSummaryStatistics(b *testing.B) {
 // paper's "further experiments on other computational problems").
 func BenchmarkExtScanObserved(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	cfg.SizesReduce = []int{1 << 14}
+	cfg.Sizes = map[string][]int{"scan": {1 << 14}}
 	runner, err := experiments.NewRunner(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		data, err := runner.RunScan()
+		data, err := runner.Sweep("scan")
 		if err != nil {
 			b.Fatal(err)
 		}

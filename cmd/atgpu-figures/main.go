@@ -78,17 +78,6 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 	fmt.Printf("calibrated cost params: γ=%.3g op/s  λ=%.3g cy  σ=%.3g s  α=%.3g s  β=%.3g s/word  k'=%d  H=%d\n\n",
 		cp.Gamma, cp.Lambda, cp.Sigma, cp.Alpha, cp.Beta, cp.KPrime, cp.H)
 
-	type sweep struct {
-		name string
-		run  func() (*experiments.WorkloadData, error)
-		figs []string // which -fig selections include this sweep
-	}
-	sweeps := []sweep{
-		{"vecadd", runner.RunVecAdd, []string{"3", "6", "all"}},
-		{"reduce", runner.RunReduce, []string{"4", "6", "all"}},
-		{"matmul", runner.RunMatMul, []string{"5", "6", "all"}},
-	}
-
 	if fig == "all" || fig == "1" {
 		fmt.Println("Table I — comparison of GPU abstract models")
 		fmt.Println(models.TableI())
@@ -100,24 +89,26 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 		}
 	}
 
-	for _, sw := range sweeps {
-		if !contains(sw.figs, fig) {
+	// Every workload with paper panels is a figure sweep; a -fig
+	// selection runs the sweeps feeding one of its panels.
+	for _, w := range experiments.Workloads() {
+		if !feeds(w, fig) {
 			continue
 		}
 		start := time.Now()
-		data, err := sw.run()
+		data, err := runner.Sweep(w.Name)
 		if err != nil {
-			return fmt.Errorf("%s: %w", sw.name, err)
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		wall := time.Since(start)
 		// Wall time goes to stderr: stdout (charts, CSVs, summaries) is
 		// deterministic and byte-identical for any -workers value.
 		fmt.Fprintf(os.Stderr, "atgpu-figures: %s sweep: %.1fs wall\n",
-			sw.name, wall.Seconds())
+			w.Name, wall.Seconds())
 		if err := persistRecords(recordsDir, runLabel, data.Records, workers, wall); err != nil {
 			return err
 		}
-		fmt.Printf("== %s sweep (%d sizes) ==\n", sw.name, len(data.Points))
+		fmt.Printf("== %s sweep (%d sizes) ==\n", w.Name, len(data.Points))
 
 		for _, f := range experiments.Figures(data) {
 			if fig != "all" && !figMatches(f.ID, fig) {
@@ -147,7 +138,7 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 func runExtensions(runner *experiments.Runner, full bool) error {
 	fmt.Println("== future-work extensions (§V) ==")
 
-	scan, err := runner.RunScan()
+	scan, err := runner.Sweep("scan")
 	if err != nil {
 		return fmt.Errorf("scan: %w", err)
 	}
@@ -216,9 +207,10 @@ func runExtensions(runner *experiments.Runner, full bool) error {
 	return nil
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
+// feeds reports whether the -fig selection includes w's sweep.
+func feeds(w *experiments.Workload, sel string) bool {
+	for _, p := range w.Panels {
+		if sel == "all" || figMatches(p.ID, sel) {
 			return true
 		}
 	}

@@ -6,17 +6,19 @@
 //
 //	atgpu table1
 //	atgpu calibrate
-//	atgpu analyze -alg vecadd|reduce|matmul -n N
+//	atgpu analyze -alg WORKLOAD -n N
 //	atgpu lint    [-alg WORKLOAD -n N] [-blocks B] [-json] [-o out] [file.pseudo ...]
 //	atgpu run     -alg vecadd|reduce|matmul -n N [--lint warn|error] [--fault-rate R --fault-seed S --max-retries K]
 //	atgpu sweep   -alg WORKLOAD [-full] [--workers W] [--lint warn|error] [fault flags] [-o dir -run label]
 //
-// WORKLOAD for lint and sweep is any built-in kernel: the three paper
-// workloads (vecadd, reduce, matmul) or the atomic workloads (histogram,
-// histogram-priv, compact, topk, montecarlo — plus scan for lint). The
-// atomic sweeps report the contention-priced cost estimate next to the
-// simulated timing, so histogram vs histogram-priv shows the predicted
-// and observed price of shared-counter serialisation side by side.
+// WORKLOAD for analyze, lint and sweep is any workload of the experiments
+// registry: the three paper workloads (vecadd, reduce, matmul), scan, and
+// the atomic workloads (histogram, histogram-priv, compact, topk,
+// montecarlo). The atomic sweeps report the contention-priced cost
+// estimate next to the simulated timing, so histogram vs histogram-priv
+// shows the predicted and observed price of shared-counter serialisation
+// side by side. sweep -pipeline takes the workloads with a pipelined
+// variant.
 //
 //	atgpu ooc     -n N -chunk C
 //	atgpu results list|diff|compare|gate [-store results.jsonl] [flags]
@@ -48,6 +50,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +75,7 @@ func main() {
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	alg := fs.String("alg", "vecadd", "algorithm: vecadd, reduce, matmul; lint/sweep also take histogram, histogram-priv, compact, topk, montecarlo")
+	alg := fs.String("alg", "vecadd", "workload: "+strings.Join(experiments.WorkloadNames(), ", ")+" (run takes vecadd, reduce, matmul)")
 	n := fs.Int("n", 1_000_000, "input size (vector length / matrix side)")
 	chunk := fs.Int("chunk", 1<<18, "out-of-core chunk size in words")
 	full := fs.Bool("full", false, "sweep: use the paper's exact input sizes (minutes)")
@@ -178,8 +181,6 @@ commands:
               memory-performance and cost prediction      (-alg -n | file.pseudo ..., -blocks, -json, -o)
   run         predicted-vs-observed on the simulated GPU (-alg, -n)
   sweep       predicted-vs-observed size sweep           (-alg, -full, -workers, -o dir, -run label)
-              workloads: vecadd reduce matmul histogram histogram-priv
-              compact topk montecarlo (atomics carry contention pricing)
   ooc         out-of-core reduction, serial vs overlapped (-n, -chunk)
   results     query the canonical result store:
               list | diff -a runA -b runB | compare -a devA -b devB |
@@ -198,7 +199,10 @@ fault injection (run, sweep): --fault-rate R --fault-seed S --max-retries K
 observability (run, sweep): --trace out.json writes one Perfetto trace of
 the whole run (host, streams, device blocks, transfers, faults on a single
 simulated-time axis); --metrics out.prom writes a deterministic Prometheus
-text snapshot; --trace-max-events caps trace growth.`)
+text snapshot; --trace-max-events caps trace growth.
+
+workloads (analyze, lint, sweep): `+strings.Join(experiments.WorkloadNames(), " ")+`
+(atomics carry contention pricing)`)
 }
 
 func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline bool, opts atgpu.Options, traceOut, metricsOut, outDir, runLabel string) error {
@@ -229,10 +233,13 @@ func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline
 		}
 		return run(alg, n, opts, traceOut, metricsOut)
 	case "sweep":
+		cfg := opts.ExperimentConfig()
+		cfg.Full = full
+		cfg.Context = ctx
 		if pipeline {
-			return sweepPipelined(ctx, alg, full, opts, traceOut, metricsOut, outDir, runLabel)
+			return sweepPipelined(cfg, alg, traceOut, metricsOut, outDir, runLabel)
 		}
-		return sweep(ctx, alg, full, opts, traceOut, metricsOut, outDir, runLabel)
+		return sweep(cfg, alg, traceOut, metricsOut, outDir, runLabel)
 	case "ooc":
 		return ooc(n, chunk, opts)
 	default:
@@ -241,16 +248,18 @@ func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline
 	}
 }
 
+// predictionFor prices a registered workload on the system's model with
+// the launch geometry its sweep runs.
 func predictionFor(sys *atgpu.System, alg string, n int) (*atgpu.Prediction, error) {
-	switch alg {
-	case "vecadd":
-		return sys.AnalyzeVecAdd(n)
-	case "reduce":
-		return sys.AnalyzeReduce(n)
-	case "matmul":
-		return sys.AnalyzeMatMul(n)
+	w, err := experiments.Lookup(alg)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", alg)
+	a, err := w.Analyze(n, sys.Options().Device.WarpWidth, sys.ModelParams)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Analyze(a)
 }
 
 func analyzeCmd(alg string, n int, opts atgpu.Options) error {
@@ -444,32 +453,19 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 // sweep. Stdout is byte-identical for any --workers value. On SIGINT the
 // completed points, trace and metrics are still flushed before the
 // cancellation error propagates.
-func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Options, traceOut, metricsOut, outDir, runLabel string) error {
-	cfg := opts.ExperimentConfig()
-	cfg.Full = full
-	cfg.Context = ctx
+func sweepPipelined(cfg experiments.Config, alg, traceOut, metricsOut, outDir, runLabel string) error {
 	r, err := experiments.NewRunner(cfg)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	var data *experiments.PipelineData
-	switch alg {
-	case "vecadd":
-		data, err = r.RunVecAddPipelined()
-	case "reduce":
-		data, err = r.RunReducePipelined()
-	case "matmul":
-		data, err = r.RunMatMulPipelined()
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
+	data, err := r.SweepPipelined(alg)
 	cancelled := errors.Is(err, experiments.ErrCancelled)
 	if err != nil && !cancelled {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "atgpu: %s pipelined sweep: %d sizes in %.1fs (workers=%d)\n",
-		alg, len(data.Points), time.Since(start).Seconds(), opts.Workers)
+		alg, len(data.Points), time.Since(start).Seconds(), cfg.Workers)
 
 	first := experiments.PipelinePoint{}
 	if len(data.Points) > 0 {
@@ -491,7 +487,7 @@ func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Optio
 	if werr := writeObs(data.Obs, traceOut, metricsOut); werr != nil {
 		return werr
 	}
-	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, time.Since(start)); werr != nil {
+	if werr := persistSweepRecords(outDir, runLabel, data.Records, cfg.Workers, time.Since(start)); werr != nil {
 		return werr
 	}
 	if cancelled {
@@ -507,42 +503,19 @@ func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Optio
 // SIGINT the completed points, trace and metrics are still flushed (the
 // summary is skipped — it would describe a truncated sweep) before the
 // cancellation error propagates.
-func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, traceOut, metricsOut, outDir, runLabel string) error {
-	cfg := opts.ExperimentConfig()
-	cfg.Full = full
-	cfg.Context = ctx
+func sweep(cfg experiments.Config, alg, traceOut, metricsOut, outDir, runLabel string) error {
 	r, err := experiments.NewRunner(cfg)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	var data *experiments.WorkloadData
-	switch alg {
-	case "vecadd":
-		data, err = r.RunVecAdd()
-	case "reduce":
-		data, err = r.RunReduce()
-	case "matmul":
-		data, err = r.RunMatMul()
-	case "histogram":
-		data, err = r.RunHistogram(false)
-	case "histogram-priv":
-		data, err = r.RunHistogram(true)
-	case "compact":
-		data, err = r.RunCompact()
-	case "topk":
-		data, err = r.RunTopK()
-	case "montecarlo":
-		data, err = r.RunMonteCarlo()
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
+	data, err := r.Sweep(alg)
 	cancelled := errors.Is(err, experiments.ErrCancelled)
 	if err != nil && !cancelled {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "atgpu: %s sweep: %d sizes in %.1fs (workers=%d)\n",
-		alg, len(data.Points), time.Since(start).Seconds(), opts.Workers)
+		alg, len(data.Points), time.Since(start).Seconds(), cfg.Workers)
 
 	fmt.Printf("%s sweep (%d sizes)\n", alg, len(data.Points))
 	fmt.Printf("%12s %14s %14s %14s %8s %8s %s\n",
@@ -568,7 +541,7 @@ func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, trace
 	if werr := writeObs(data.Obs, traceOut, metricsOut); werr != nil {
 		return werr
 	}
-	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, time.Since(start)); werr != nil {
+	if werr := persistSweepRecords(outDir, runLabel, data.Records, cfg.Workers, time.Since(start)); werr != nil {
 		return werr
 	}
 	if cancelled {

@@ -6,9 +6,13 @@
 //
 // Usage:
 //
-//	simgpu [-kernel vecadd|reduce|matmul] [-n N] [-device gtx650|tiny] [-disasm]
+//	simgpu [-kernel WORKLOAD] [-n N] [-device gtx650|tiny] [-disasm]
 //	       [--trace out.json --trace-max-events N]
 //	       [--workers W] [--fault-rate R --fault-seed S --max-retries K]
+//
+// WORKLOAD is any workload of the experiments registry; -pipeline takes
+// the ones with a pipelined variant. The disassembly and kernel name are
+// the workload's first launch.
 //
 // With --trace, the run writes one Perfetto trace of the full host
 // timeline — transfer occupancy, per-stream activity, kernel spans with
@@ -41,12 +45,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 
-	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
+	"atgpu/internal/experiments"
 	"atgpu/internal/faults"
-	"atgpu/internal/kernel"
 	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/sched"
@@ -55,7 +59,7 @@ import (
 )
 
 func main() {
-	kname := flag.String("kernel", "vecadd", "kernel: vecadd, reduce, matmul")
+	kname := flag.String("kernel", "vecadd", "kernel: "+strings.Join(experiments.WorkloadNames(), ", "))
 	n := flag.Int("n", 4096, "input size")
 	device := flag.String("device", "gtx650", "device preset: gtx650, gtx1080, k40, tiny")
 	disasm := flag.Bool("disasm", false, "print kernel disassembly")
@@ -119,31 +123,28 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 		return fmt.Errorf("unknown device %q", device)
 	}
 
+	w, err := experiments.Lookup(kname)
+	if err != nil {
+		return err
+	}
+	if pipeline && w.Pipelined == nil {
+		return fmt.Errorf("kernel %q has no pipelined variant", kname)
+	}
+	// The printed kernel is the first launch, which also validates n.
+	prog, _, err := w.Kernel(n, cfg.WarpWidth)
+	if err != nil {
+		return err
+	}
+
 	// Size global memory to the problem. Pipelined variants allocate
 	// per-stream chunk buffer sets instead of whole-input buffers.
-	need := 4*n + 4*n + 4*cfg.WarpWidth
-	if kname == "matmul" {
-		need = 4*n*n + 4*cfg.WarpWidth
-	}
+	words := w.Footprint(n, cfg.WarpWidth)
 	if pipeline {
-		var words int
-		var err error
-		switch kname {
-		case "vecadd":
-			words, err = algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: 2}.GlobalWords(cfg.WarpWidth)
-		case "reduce":
-			words, err = algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: 2}.GlobalWords(cfg.WarpWidth)
-		case "matmul":
-			words, err = algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: 2}.GlobalWords(cfg.WarpWidth)
-		default:
-			return fmt.Errorf("unknown kernel %q", kname)
-		}
-		if err != nil {
+		if words, err = w.Pipelined.Footprint(n, cfg.WarpWidth, chunks, 2); err != nil {
 			return err
 		}
-		need = words + 4*cfg.WarpWidth
 	}
-	if need < cfg.GlobalWords {
+	if need := words + 4*cfg.WarpWidth; need < cfg.GlobalWords {
 		cfg.GlobalWords = need
 	}
 
@@ -154,19 +155,19 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 
 	// Every replica builds its own device/engine/host and draws inputs
 	// from the same seed, so all replicas simulate the identical run.
-	replica := func(tr *simgpu.Tracer) (*simgpu.Host, *kernel.Program, error) {
+	replica := func(tr *simgpu.Tracer) (*simgpu.Host, error) {
 		dev, err := simgpu.New(cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		dev.SetUniformProver(analyze.UniformProver)
 		eng, err := transfer.NewEngine(transfer.PCIeGen3x8Link(), transfer.Pinned)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		h, err := simgpu.NewHost(dev, eng, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if faultRate > 0 {
 			inj, err := faults.NewRate(faults.RateConfig{
@@ -175,7 +176,7 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 				KernelRate:   faultRate,
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			policy := transfer.DefaultRetryPolicy()
 			if maxRetries > 0 {
@@ -183,10 +184,10 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 			}
 			policy.Seed = faultSeed + 1
 			if err := eng.SetFaults(inj, policy); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if err := h.SetFaults(inj, 0, 0); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if tr != nil {
@@ -197,70 +198,25 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 			h.SetPreLaunch(analyze.Gate(analyze.FromConfig(cfg), nil, lint, os.Stderr))
 		}
 
-		rng := rand.New(rand.NewSource(1))
-		randWords := func(n int) []mem.Word {
-			w := make([]mem.Word, n)
-			for i := range w {
-				w[i] = mem.Word(rng.Intn(100))
-			}
-			return w
+		var in [][]mem.Word
+		if w.Inputs != nil {
+			in = w.Inputs(rand.New(rand.NewSource(1)), n)
 		}
-
-		var prog *kernel.Program
-		switch kname {
-		case "vecadd":
-			alg := algorithms.VecAdd{N: n}
-			if prog, err = alg.Kernel(cfg.WarpWidth, 0, n, 2*n); err != nil {
-				return nil, nil, err
-			}
-			if pipeline {
-				p := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: 2}
-				if _, err := p.Run(h, randWords(n), randWords(n)); err != nil {
-					return nil, nil, err
-				}
-			} else if _, err := alg.Run(h, randWords(n), randWords(n)); err != nil {
-				return nil, nil, err
-			}
-		case "reduce":
-			alg := algorithms.Reduce{N: n}
-			if prog, err = alg.Kernel(cfg.WarpWidth, 0, n, n); err != nil {
-				return nil, nil, err
-			}
-			if pipeline {
-				p := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: 2}
-				if _, err := p.Run(h, randWords(n)); err != nil {
-					return nil, nil, err
-				}
-			} else if _, err := alg.Run(h, randWords(n)); err != nil {
-				return nil, nil, err
-			}
-		case "matmul":
-			if n%cfg.WarpWidth != 0 {
-				return nil, nil, fmt.Errorf("matmul n=%d must be a multiple of warp width %d", n, cfg.WarpWidth)
-			}
-			alg := algorithms.MatMul{N: n}
-			if prog, err = alg.Kernel(cfg.WarpWidth, 0, n*n, 2*n*n); err != nil {
-				return nil, nil, err
-			}
-			if pipeline {
-				p := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: 2}
-				if _, err := p.Run(h, randWords(n*n), randWords(n*n)); err != nil {
-					return nil, nil, err
-				}
-			} else if _, err := alg.Run(h, randWords(n*n), randWords(n*n)); err != nil {
-				return nil, nil, err
-			}
-		default:
-			return nil, nil, fmt.Errorf("unknown kernel %q", kname)
+		if pipeline {
+			err = w.Pipelined.Run(h, n, chunks, 2, in)
+		} else {
+			err = w.Run(h, n, in)
 		}
-		return h, prog, nil
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
 	}
 
 	hosts := make([]*simgpu.Host, workers)
-	progs := make([]*kernel.Program, workers)
 	errs := make([]error, workers)
 	if workers == 1 {
-		hosts[0], progs[0], errs[0] = replica(tracer)
+		hosts[0], errs[0] = replica(tracer)
 	} else {
 		// The shared scheduler gives each replica panic isolation and
 		// checks ctx between dispatches, so an interrupt skips replicas
@@ -271,16 +227,16 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 		if cores := runtime.GOMAXPROCS(0); pool > cores {
 			pool = cores
 		}
-		errs = sched.Run(ctx, workers, pool, func(w int) error {
+		errs = sched.Run(ctx, workers, pool, func(i int) error {
 			// Only the first replica is traced: replicas are
 			// identical, so one timeline is the timeline, and the
 			// others stay uninstrumented while running concurrently.
 			var tr *simgpu.Tracer
-			if w == 0 {
+			if i == 0 {
 				tr = tracer
 			}
 			var err error
-			hosts[w], progs[w], err = replica(tr)
+			hosts[i], err = replica(tr)
 			return err
 		})
 	}
@@ -298,7 +254,7 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 		return fmt.Errorf("interrupted before the first replica completed")
 	}
 
-	h, prog := hosts[0], progs[0]
+	h := hosts[0]
 	if disasm {
 		fmt.Println(prog.Disassemble())
 	}

@@ -9,10 +9,13 @@ import (
 // predicted-vs-observed pipeline runs in seconds.
 func atomicsTestConfig() Config {
 	cfg := DefaultConfig()
-	cfg.SizesHistogram = []int{1 << 8, 1 << 10}
-	cfg.SizesCompact = []int{1 << 8, 1 << 10}
-	cfg.SizesTopK = []int{1 << 8, 1 << 10}
-	cfg.SizesMonteCarlo = []int{1 << 6, 1 << 8}
+	cfg.Sizes = map[string][]int{
+		"histogram":      {1 << 8, 1 << 10},
+		"histogram-priv": {1 << 8, 1 << 10},
+		"compact":        {1 << 8, 1 << 10},
+		"topk":           {1 << 8, 1 << 10},
+		"montecarlo":     {1 << 6, 1 << 8},
+	}
 	return cfg
 }
 
@@ -68,10 +71,10 @@ func TestAtomicSweepSizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.HistogramSizes(); got[0] != 1<<10 || got[len(got)-1] != 1<<16 {
+	if got := sweepSizes(t, r.Config(), "histogram"); got[0] != 1<<10 || got[len(got)-1] != 1<<16 {
 		t.Fatalf("default histogram sizes = %v", got)
 	}
-	if got := r.MonteCarloSizes(); got[0] != 1<<8 {
+	if got := sweepSizes(t, r.Config(), "montecarlo"); got[0] != 1<<8 {
 		t.Fatalf("default montecarlo sizes = %v", got)
 	}
 	for _, w := range []string{"histogram", "histogram-priv", "compact", "topk", "montecarlo"} {

@@ -30,7 +30,7 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data, err := r.RunVecAddPipelined()
+				data, err := r.SweepPipelined("vecadd")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,9 +11,11 @@ import (
 // runs in well under a second.
 func testConfig() Config {
 	cfg := DefaultConfig()
-	cfg.SizesVecAdd = []int{1 << 10, 1 << 11, 1 << 12}
-	cfg.SizesReduce = []int{1 << 10, 1 << 12}
-	cfg.SizesMatMul = []int{32, 64, 128}
+	cfg.Sizes = map[string][]int{
+		"vecadd": {1 << 10, 1 << 11, 1 << 12},
+		"reduce": {1 << 10, 1 << 12},
+		"matmul": {32, 64, 128},
+	}
 	return cfg
 }
 
@@ -47,34 +49,38 @@ func TestRunnerCostParams(t *testing.T) {
 	}
 }
 
-func TestSizeDefaults(t *testing.T) {
-	r, err := NewRunner(DefaultConfig())
+// sweepSizes resolves a workload's effective sizes, failing the test on
+// an unknown name.
+func sweepSizes(t *testing.T, cfg Config, workload string) []int {
+	t.Helper()
+	sizes, err := cfg.SweepSizes(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.VecAddSizes(); len(got) != 10 || got[0] != 100_000 || got[9] != 1_000_000 {
+	return sizes
+}
+
+func TestSizeDefaults(t *testing.T) {
+	cfg := DefaultConfig()
+	if got := sweepSizes(t, cfg, "vecadd"); len(got) != 10 || got[0] != 100_000 || got[9] != 1_000_000 {
 		t.Fatalf("default vecadd sizes = %v", got)
 	}
-	if got := r.ReduceSizes(); got[0] != 1<<16 || got[len(got)-1] != 1<<22 {
+	if got := sweepSizes(t, cfg, "reduce"); got[0] != 1<<16 || got[len(got)-1] != 1<<22 {
 		t.Fatalf("default reduce sizes = %v", got)
 	}
-	if got := r.MatMulSizes(); got[0] != 32 || got[len(got)-1] != 256 {
+	if got := sweepSizes(t, cfg, "matmul"); got[0] != 32 || got[len(got)-1] != 256 {
 		t.Fatalf("default matmul sizes = %v", got)
 	}
 
 	full := DefaultConfig()
 	full.Full = true
-	rf, err := NewRunner(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rf.VecAddSizes(); got[9] != 10_000_000 {
+	if got := sweepSizes(t, full, "vecadd"); got[9] != 10_000_000 {
 		t.Fatalf("full vecadd max = %d, want 1e7 (paper)", got[9])
 	}
-	if got := rf.ReduceSizes(); got[len(got)-1] != 1<<26 {
+	if got := sweepSizes(t, full, "reduce"); got[len(got)-1] != 1<<26 {
 		t.Fatalf("full reduce max = %d, want 2^26 (paper)", got[len(got)-1])
 	}
-	if got := rf.MatMulSizes(); got[len(got)-1] != 1024 {
+	if got := sweepSizes(t, full, "matmul"); got[len(got)-1] != 1024 {
 		t.Fatalf("full matmul max = %d, want 1024 (paper)", got[len(got)-1])
 	}
 }

@@ -11,70 +11,15 @@ import (
 
 // This file implements the paper's future-work experiments (§V):
 //
-//   - RunScan: "further experiments on other computational problems to
-//     verify our model" — the prefix-sum sweep, same predicted-vs-observed
-//     methodology as §IV.
+//   - the "scan" workload (Sweep("scan")): "further experiments on other
+//     computational problems to verify our model" — the prefix-sum sweep,
+//     same predicted-vs-observed methodology as §IV.
 //   - RunTransposeContrast: the coalescing study; the model's qᵢ metric
 //     must order the naive and tiled variants the way the device does.
 //   - RunOutOfCore: "approaches where the data does not fit on the global
 //     memory" — serial vs overlapped chunked reduction.
 //   - RunDeviceSweep: "verify the model using other GPUs" — the same
 //     workload calibrated and checked on several device presets.
-
-// ScanSizes returns the scan sweep sizes.
-func (r *Runner) ScanSizes() []int {
-	if r.cfg.SizesReduce != nil {
-		return r.cfg.SizesReduce
-	}
-	hi := 20
-	if r.cfg.Full {
-		hi = 24
-	}
-	var sizes []int
-	for e := 14; e <= hi; e += 2 {
-		sizes = append(sizes, 1<<e)
-	}
-	return sizes
-}
-
-// RunScan sweeps the prefix-sum workload with the §IV methodology. Its
-// inputs are deterministic (no RNG), so it parallelises through runSweep
-// like the §IV workloads.
-func (r *Runner) RunScan() (*WorkloadData, error) {
-	b := r.cfg.Device.WarpWidth
-	return r.runSweep("scan", r.ScanSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Scan{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams((n + b - 1) / b))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		h, err := r.newHost(alg.GlobalWords(b), "scan", n, idx)
-		if err != nil {
-			return WorkloadPoint{}, err
-		}
-		in := make([]algorithms.Word, n)
-		for i := range in {
-			in[i] = algorithms.Word(i%3 - 1)
-		}
-		got, err := alg.Run(h, in)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: run: %w", n, err)
-		}
-		// Spot-check the tail against the reference reduction.
-		if got[n-1] != algorithms.ReduceReference(in) {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: %w", n, algorithms.ErrVerifyFail)
-		}
-		pt.observe(h.Report())
-		return pt, nil
-	})
-}
 
 // TransposeContrast reports the coalescing study at one size.
 type TransposeContrast struct {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"atgpu/internal/transfer"
@@ -8,12 +9,12 @@ import (
 
 func TestRunScanSweep(t *testing.T) {
 	cfg := testConfig()
-	cfg.SizesReduce = []int{1 << 10, 1 << 12} // ScanSizes reuses this override
+	cfg.Sizes["scan"] = []int{1 << 10, 1 << 12}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunScan()
+	data, err := r.Sweep("scan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,15 @@ func TestRunScanSweep(t *testing.T) {
 }
 
 func TestScanSizesDefaults(t *testing.T) {
-	r, err := NewRunner(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := r.ScanSizes()
+	sizes := sweepSizes(t, DefaultConfig(), "scan")
 	if len(sizes) == 0 || sizes[0] != 1<<14 {
 		t.Fatalf("scan sizes = %v", sizes)
+	}
+	// Scan owns its ladder: overriding reduce's sizes leaves it alone.
+	cfg := DefaultConfig()
+	cfg.Sizes = map[string][]int{"reduce": {1 << 10}}
+	if got := sweepSizes(t, cfg, "scan"); !reflect.DeepEqual(got, sizes) {
+		t.Fatalf("reduce override moved scan sizes to %v, want %v", got, sizes)
 	}
 }
 

@@ -21,9 +21,11 @@ func TestConfigValidate(t *testing.T) {
 		{"zero device", func(c *Config) { c.Device = simgpu.Config{} }, "zero-value Device"},
 		{"invalid device", func(c *Config) { c.Device.NumSMs = -1 }, "device"},
 		{"negative sync", func(c *Config) { c.SyncCost = -time.Second }, "SyncCost"},
-		{"zero vecadd size", func(c *Config) { c.SizesVecAdd = []int{1024, 0} }, "SizesVecAdd"},
-		{"negative reduce size", func(c *Config) { c.SizesReduce = []int{-4} }, "SizesReduce"},
-		{"zero matmul size", func(c *Config) { c.SizesMatMul = []int{0} }, "SizesMatMul"},
+		{"zero vecadd size", func(c *Config) { c.Sizes["vecadd"] = []int{1024, 0} }, `Sizes["vecadd"]`},
+		{"negative reduce size", func(c *Config) { c.Sizes["reduce"] = []int{-4} }, `Sizes["reduce"]`},
+		{"zero matmul size", func(c *Config) { c.Sizes["matmul"] = []int{0} }, `Sizes["matmul"]`},
+		{"zero scan size", func(c *Config) { c.Sizes["scan"] = []int{0} }, `Sizes["scan"]`},
+		{"unknown workload size", func(c *Config) { c.Sizes["sort"] = []int{8} }, "unknown workload"},
 		{"fault rate > 1", func(c *Config) { c.FaultRate = 1.5 }, "FaultRate"},
 		{"fault rate < 0", func(c *Config) { c.FaultRate = -0.1 }, "FaultRate"},
 		{"negative retries", func(c *Config) { c.MaxRetries = -1 }, "MaxRetries"},
@@ -149,7 +151,7 @@ func TestFaultRateZeroIdentical(t *testing.T) {
 // point as failed with its error and fault log.
 func TestRetryExhaustionRecordsPoint(t *testing.T) {
 	cfg := testConfig()
-	cfg.SizesVecAdd = []int{1 << 10}
+	cfg.Sizes["vecadd"] = []int{1 << 10}
 	cfg.FaultRate = 1
 	cfg.FaultSeed = 3
 	cfg.MaxRetries = 2

@@ -148,31 +148,17 @@ func DeltaFigure(id string, d *WorkloadData) Figure {
 	}
 }
 
-// Figures expands a workload sweep into its paper panels. VecAdd yields
-// 3a/3b/3c and 6a; reduce 4a/4b/4c and 6b; matmul 5a/5b and 6c (the paper
-// has no normalised matmul panel).
+// Figures expands a workload sweep into the paper panels its registry
+// entry lists: VecAdd yields 3a/3b/3c and 6a; reduce 4a/4b/4c and 6b;
+// matmul 5a/5b and 6c. Workloads outside §IV yield none.
 func Figures(d *WorkloadData) []Figure {
-	switch d.Workload {
-	case "vecadd":
-		return []Figure{
-			PredictedFigure("fig3a", d),
-			ObservedFigure("fig3b", d),
-			NormalisedFigure("fig3c", d),
-			DeltaFigure("fig6a", d),
-		}
-	case "reduce":
-		return []Figure{
-			PredictedFigure("fig4a", d),
-			ObservedFigure("fig4b", d),
-			NormalisedFigure("fig4c", d),
-			DeltaFigure("fig6b", d),
-		}
-	case "matmul":
-		return []Figure{
-			PredictedFigure("fig5a", d),
-			ObservedFigure("fig5b", d),
-			DeltaFigure("fig6c", d),
-		}
+	w, err := Lookup(d.Workload)
+	if err != nil {
+		return nil
 	}
-	return nil
+	var figs []Figure
+	for _, p := range w.Panels {
+		figs = append(figs, p.build(p.ID, d))
+	}
+	return figs
 }

@@ -22,7 +22,7 @@ func runAll(t *testing.T, cfg Config) []*WorkloadData {
 	}
 	var out []*WorkloadData
 	for _, run := range []func() (*WorkloadData, error){
-		r.RunVecAdd, r.RunReduce, r.RunMatMul, r.RunScan,
+		r.RunVecAdd, r.RunReduce, r.RunMatMul, func() (*WorkloadData, error) { return r.Sweep("scan") },
 	} {
 		d, err := run()
 		if err != nil {
@@ -155,7 +155,7 @@ func TestNewHostFailsFastOnOversizedFootprint(t *testing.T) {
 	// analysis feasible (footprint 3n ≤ G) while the alignment slack
 	// pushes the concrete host over the limit.
 	cfg := faultedConfig()
-	cfg.SizesVecAdd = []int{cfg.Device.GlobalWords / 3}
+	cfg.Sizes["vecadd"] = []int{cfg.Device.GlobalWords / 3}
 	rr, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

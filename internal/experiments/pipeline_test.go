@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// runAllPipelined executes the three pipelined sweeps in fixed order.
+// runAllPipelined executes every registered pipelined sweep in registry
+// order.
 func runAllPipelined(t *testing.T, cfg Config) []*PipelineData {
 	t.Helper()
 	r, err := NewRunner(cfg)
@@ -13,10 +14,11 @@ func runAllPipelined(t *testing.T, cfg Config) []*PipelineData {
 		t.Fatal(err)
 	}
 	var out []*PipelineData
-	for _, run := range []func() (*PipelineData, error){
-		r.RunVecAddPipelined, r.RunReducePipelined, r.RunMatMulPipelined,
-	} {
-		d, err := run()
+	for _, w := range Workloads() {
+		if w.Pipelined == nil {
+			continue
+		}
+		d, err := r.SweepPipelined(w.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,12 +38,12 @@ func TestPipelineSweepSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunVecAddPipelined()
+	data, err := r.SweepPipelined("vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Points) != len(cfg.SizesVecAdd) {
-		t.Fatalf("points = %d, want %d", len(data.Points), len(cfg.SizesVecAdd))
+	if len(data.Points) != len(cfg.Sizes["vecadd"]) {
+		t.Fatalf("points = %d, want %d", len(data.Points), len(cfg.Sizes["vecadd"]))
 	}
 	for _, pt := range data.Points {
 		if pt.Chunks < 4 {
@@ -85,12 +87,12 @@ func TestPipelineSweepWorkerIndependent(t *testing.T) {
 func TestPipelineSweepChunksConfig(t *testing.T) {
 	cfg := testConfig()
 	cfg.Chunks = 8
-	cfg.SizesVecAdd = []int{1 << 12}
+	cfg.Sizes["vecadd"] = []int{1 << 12}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunVecAddPipelined()
+	data, err := r.SweepPipelined("vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestSweepCancellationFlushesPartialData(t *testing.T) {
 // property atgpud's calibration cache depends on.
 func TestNewRunnerCalibrated(t *testing.T) {
 	cfg := testConfig()
-	cfg.SizesVecAdd = []int{1 << 10}
+	cfg.Sizes["vecadd"] = []int{1 << 10}
 	fresh, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

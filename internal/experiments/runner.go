@@ -32,6 +32,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"time"
 
 	"atgpu/internal/algorithms"
@@ -67,18 +68,10 @@ type Config struct {
 	Full bool
 	// Seed drives the random input generators.
 	Seed int64
-	// SizesVecAdd, SizesReduce and SizesMatMul override the sweep sizes
-	// when non-nil (used by tests and custom studies); Full is then
+	// Sizes overrides a workload's sweep sizes, keyed by registry name
+	// (used by tests, custom studies and atgpud requests); Full is then
 	// ignored for that workload.
-	SizesVecAdd []int
-	SizesReduce []int
-	SizesMatMul []int
-	// SizesHistogram, SizesCompact, SizesTopK and SizesMonteCarlo override
-	// the atomic-workload sweep sizes the same way.
-	SizesHistogram  []int
-	SizesCompact    []int
-	SizesTopK       []int
-	SizesMonteCarlo []int
+	Sizes map[string][]int
 
 	// Workers is the number of goroutines a sweep dispatches its points
 	// to. 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs the points
@@ -94,7 +87,7 @@ type Config struct {
 	Context context.Context
 
 	// Chunks is the chunk (or matmul band) count of the pipelined sweeps
-	// (RunVecAddPipelined and friends). 0 uses defaultChunks.
+	// (SweepPipelined). 0 uses defaultChunks.
 	Chunks int
 
 	// FaultRate enables fault injection when > 0: the per-decision
@@ -153,23 +146,22 @@ func (c Config) Validate() error {
 	if c.Chunks < 0 {
 		return fmt.Errorf("experiments: negative Chunks %d", c.Chunks)
 	}
-	for _, s := range []struct {
-		name  string
-		sizes []int
-	}{
-		{"SizesVecAdd", c.SizesVecAdd},
-		{"SizesReduce", c.SizesReduce},
-		{"SizesMatMul", c.SizesMatMul},
-		{"SizesHistogram", c.SizesHistogram},
-		{"SizesCompact", c.SizesCompact},
-		{"SizesTopK", c.SizesTopK},
-		{"SizesMonteCarlo", c.SizesMonteCarlo},
-	} {
-		for _, n := range s.sizes {
+	// Registry order keeps the reported error deterministic.
+	known := 0
+	for _, w := range registry {
+		sizes, ok := c.Sizes[w.Name]
+		if !ok {
+			continue
+		}
+		known++
+		for _, n := range sizes {
 			if n <= 0 {
-				return fmt.Errorf("experiments: %s contains non-positive size %d", s.name, n)
+				return fmt.Errorf("experiments: Sizes[%q] contains non-positive size %d", w.Name, n)
 			}
 		}
+	}
+	if known != len(c.Sizes) {
+		return fmt.Errorf("experiments: Sizes names an unknown workload (want %s)", strings.Join(WorkloadNames(), ", "))
 	}
 	if c.FaultRate < 0 || c.FaultRate > 1 {
 		return fmt.Errorf("experiments: FaultRate %v outside [0,1]", c.FaultRate)
@@ -435,7 +427,7 @@ func (p WorkloadPoint) Degraded() bool {
 
 // WorkloadData is one workload's full sweep.
 type WorkloadData struct {
-	// Workload names the algorithm ("vecadd", "reduce", "matmul").
+	// Workload is the registry name of the swept workload.
 	Workload string
 	// Points holds one entry per input size, ascending; under fault
 	// injection some may be Failed. Figures and summaries use Successful.
@@ -678,261 +670,83 @@ func randBits(rng *rand.Rand, n int) []mem.Word {
 // sizes in Full mode or the scaled-down defaults. The atgpud service uses
 // this to pin a request's sizes before computing its cache key.
 func (c Config) SweepSizes(workload string) ([]int, error) {
-	switch workload {
-	case "vecadd":
-		// Paper: n = 1e6 … 1e7 ("from n = 1,000,000 → 10,000,000");
-		// scaled 10× down otherwise.
-		if c.SizesVecAdd != nil {
-			return c.SizesVecAdd, nil
-		}
-		step := 100_000
-		if c.Full {
-			step = 1_000_000
-		}
-		sizes := make([]int, 10)
-		for i := range sizes {
-			sizes[i] = (i + 1) * step
-		}
-		return sizes, nil
-	case "reduce":
-		// Paper: n = 2^16 … 2^26 in Full mode, 2^16 … 2^22 otherwise.
-		if c.SizesReduce != nil {
-			return c.SizesReduce, nil
-		}
-		hi := 22
-		if c.Full {
-			hi = 26
-		}
-		var sizes []int
-		for e := 16; e <= hi; e++ {
-			sizes = append(sizes, 1<<e)
-		}
-		return sizes, nil
-	case "matmul":
-		// Paper: n = 32, 64, …, 1024 doublings in Full mode, up to 256
-		// otherwise.
-		if c.SizesMatMul != nil {
-			return c.SizesMatMul, nil
-		}
-		hi := 256
-		if c.Full {
-			hi = 1024
-		}
-		var sizes []int
-		for n := 32; n <= hi; n *= 2 {
-			sizes = append(sizes, n)
-		}
-		return sizes, nil
-	case "histogram", "histogram-priv":
-		if c.SizesHistogram != nil {
-			return c.SizesHistogram, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "compact":
-		if c.SizesCompact != nil {
-			return c.SizesCompact, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "topk":
-		if c.SizesTopK != nil {
-			return c.SizesTopK, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "montecarlo":
-		if c.SizesMonteCarlo != nil {
-			return c.SizesMonteCarlo, nil
-		}
-		// Thread counts; each thread runs MonteCarloTrials draws, so the
-		// sweep is an order smaller than the memory-bound workloads.
-		if c.Full {
-			return []int{1 << 12, 1 << 14, 1 << 16, 1 << 18}, nil
-		}
-		return []int{1 << 8, 1 << 10, 1 << 12}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown workload %q", workload)
-}
-
-// atomicSweepSizes is the shared default ladder of the atomic workloads:
-// doublings from 2^10, three octaves further in Full mode.
-func atomicSweepSizes(full bool) []int {
-	hi := 16
-	if full {
-		hi = 22
-	}
-	var sizes []int
-	for e := 10; e <= hi; e += 2 {
-		sizes = append(sizes, 1<<e)
-	}
-	return sizes
-}
-
-// mustSweepSizes resolves sizes for a workload known to be valid.
-func (c Config) mustSweepSizes(workload string) []int {
-	sizes, err := c.SweepSizes(workload)
+	w, err := Lookup(workload)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return sizes
+	if sizes := c.Sizes[workload]; sizes != nil {
+		return sizes, nil
+	}
+	return w.sizes(c.Full), nil
 }
 
-// VecAddSizes returns the effective vecadd sweep sizes.
-func (r *Runner) VecAddSizes() []int { return r.cfg.mustSweepSizes("vecadd") }
+// Sweep runs a registered workload's predicted-versus-observed sweep over
+// its effective sizes: per point, the model analysis priced on the
+// calibrated parameters, then an observed run on a fresh host with
+// per-point fault isolation.
+func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
+	w, err := Lookup(workload)
+	if err != nil {
+		return nil, err
+	}
+	sizes, err := r.cfg.SweepSizes(workload)
+	if err != nil {
+		return nil, err
+	}
+	b := r.cfg.Device.WarpWidth
+	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
+		pt, err := r.PredictPoint(w.Name, n)
+		if err != nil {
+			return WorkloadPoint{}, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
+		}
+		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
+			h, err := r.newHost(w.Footprint(n, b), w.Name, n, idx)
+			if err != nil {
+				return nil, err
+			}
+			if err := w.Run(h, n, r.inputs(w, w.Name, n, idx)); err != nil {
+				return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
+			}
+			return h, nil
+		})
+		return pt, err
+	})
+}
 
-// ReduceSizes returns the effective reduce sweep sizes.
-func (r *Runner) ReduceSizes() []int { return r.cfg.mustSweepSizes("reduce") }
-
-// MatMulSizes returns the effective matmul sweep sizes.
-func (r *Runner) MatMulSizes() []int { return r.cfg.mustSweepSizes("matmul") }
+// inputs draws one point's inputs from the stream seeded by (Seed,
+// domain, n, idx).
+func (r *Runner) inputs(w *Workload, domain string, n, idx int) [][]mem.Word {
+	if w.Inputs == nil {
+		return nil
+	}
+	return w.Inputs(r.inputRNG(domain, n, idx), n)
+}
 
 // RunVecAdd sweeps vector addition (paper §IV-A).
-func (r *Runner) RunVecAdd() (*WorkloadData, error) {
-	return r.runSweep("vecadd", r.VecAddSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.VecAdd{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("vecadd n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("vecadd n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "vecadd", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			rng := r.inputRNG("vecadd", n, idx)
-			a := randWords(rng, n)
-			b := randWords(rng, n)
-			if _, err := alg.Run(h, a, b); err != nil {
-				return h, fmt.Errorf("vecadd n=%d: run: %w", n, err)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
+func (r *Runner) RunVecAdd() (*WorkloadData, error) { return r.Sweep("vecadd") }
 
 // RunReduce sweeps reduction (paper §IV-B).
-func (r *Runner) RunReduce() (*WorkloadData, error) {
-	b := r.cfg.Device.WarpWidth
-	return r.runSweep("reduce", r.ReduceSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Reduce{N: n}
-
-		// The perfect-GPU instance needs a multiprocessor per block of
-		// the largest round.
-		analysis, err := alg.Analyze(r.modelParams((n + b - 1) / b))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("reduce n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("reduce n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(b), "reduce", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			in := randBits(r.inputRNG("reduce", n, idx), n)
-			got, err := alg.Run(h, in)
-			if err != nil {
-				return h, fmt.Errorf("reduce n=%d: run: %w", n, err)
-			}
-			if want := algorithms.ReduceReference(in); got != want {
-				return h, fmt.Errorf("reduce n=%d: %w: got %d want %d",
-					n, algorithms.ErrVerifyFail, got, want)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
+func (r *Runner) RunReduce() (*WorkloadData, error) { return r.Sweep("reduce") }
 
 // RunMatMul sweeps matrix multiplication (paper §IV-C).
-func (r *Runner) RunMatMul() (*WorkloadData, error) {
-	return r.runSweep("matmul", r.MatMulSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.MatMul{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("matmul n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("matmul n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "matmul", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			rng := r.inputRNG("matmul", n, idx)
-			a := randWords(rng, n*n)
-			b := randWords(rng, n*n)
-			if _, err := alg.Run(h, a, b); err != nil {
-				return h, fmt.Errorf("matmul n=%d: run: %w", n, err)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// analysisFor builds one workload size's per-round model analysis, with
-// the same launch geometry the observed runs use.
-func (r *Runner) analysisFor(workload string, n int) (*core.Analysis, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: %s: non-positive size %d", workload, n)
-	}
-	b := r.cfg.Device.WarpWidth
-	switch workload {
-	case "vecadd":
-		alg := algorithms.VecAdd{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "reduce":
-		return algorithms.Reduce{N: n}.Analyze(r.modelParams((n + b - 1) / b))
-	case "matmul":
-		alg := algorithms.MatMul{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "histogram":
-		alg := algorithms.Histogram{N: n, Bins: HistogramSweepBins}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "histogram-priv":
-		alg := algorithms.Histogram{N: n, Bins: HistogramSweepBins, Privatized: true}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "compact":
-		alg := algorithms.Compact{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "topk":
-		alg := algorithms.TopK{N: n, K: TopKSweepK}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "montecarlo":
-		alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	}
-	return nil, fmt.Errorf("experiments: unknown workload %q", workload)
-}
+func (r *Runner) RunMatMul() (*WorkloadData, error) { return r.Sweep("matmul") }
 
 // PredictPoint prices one workload size on the abstract model without
 // running the simulator: a WorkloadPoint with only the model-side fields
 // (ATGPUCost, SWGPUCost, DeltaPredicted) and N filled — the "analyze"
 // half of a sweep point. atgpud serves its analyze jobs through this.
 func (r *Runner) PredictPoint(workload string, n int) (WorkloadPoint, error) {
-	a, err := r.analysisFor(workload, n)
+	w, err := Lookup(workload)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
+	a, err := w.Analyze(n, r.cfg.Device.WarpWidth, r.modelParams)
+	if err != nil {
+		return WorkloadPoint{}, fmt.Errorf("analyze: %w", err)
+	}
 	pt, err := r.predict(a)
 	if err != nil {
-		return WorkloadPoint{}, err
+		return WorkloadPoint{}, fmt.Errorf("predict: %w", err)
 	}
 	pt.N = n
 	return pt, nil

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
 	"atgpu/internal/calibrate"
 	"atgpu/internal/core"
@@ -35,8 +34,9 @@ type Request struct {
 	// sweep), "analyze" (model-only prediction, no simulation), or
 	// "lint" (static kernel analysis, no simulation).
 	Kind string `json:"kind"`
-	// Workload is the algorithm: vecadd, reduce or matmul ("lint" also
-	// accepts scan).
+	// Workload is any registered experiments workload (vecadd, reduce,
+	// matmul, scan, the atomic workloads, ...); "pipeline" needs one with
+	// a pipelined variant.
 	Workload string `json:"workload"`
 	// N is the input size for run/analyze/lint kinds.
 	N int `json:"n,omitempty"`
@@ -152,12 +152,12 @@ func (r Request) Normalize() (Request, error) {
 		return r, fmt.Errorf("negative max_retries, watchdog_us, timeout_ms or chunks")
 	}
 
-	workloads := map[string]bool{"vecadd": true, "reduce": true, "matmul": true}
-	if r.Kind == "lint" {
-		workloads["scan"] = true
+	w, err := experiments.Lookup(r.Workload)
+	if err != nil {
+		return r, fmt.Errorf("kind %q: %w", r.Kind, err)
 	}
-	if !workloads[r.Workload] {
-		return r, fmt.Errorf("kind %q: unknown workload %q", r.Kind, r.Workload)
+	if r.Kind == "pipeline" && w.Pipelined == nil {
+		return r, fmt.Errorf("kind %q: workload %q has no pipelined variant", r.Kind, r.Workload)
 	}
 
 	switch r.Kind {
@@ -174,12 +174,8 @@ func (r Request) Normalize() (Request, error) {
 			return r, fmt.Errorf("kind %q takes sizes, not n", r.Kind)
 		}
 		if len(r.Sizes) == 0 {
-			cfg := experiments.Config{}
-			sizes, err := cfg.SweepSizes(r.Workload)
-			if err != nil {
-				return r, err
-			}
-			r.Sizes = sizes
+			// Cannot fail: the workload was looked up above.
+			r.Sizes, _ = experiments.Config{}.SweepSizes(r.Workload)
 		}
 		if len(r.Sizes) > maxSweepSizes {
 			return r, fmt.Errorf("%d sizes exceed the %d-size limit", len(r.Sizes), maxSweepSizes)
@@ -222,20 +218,17 @@ func (r Request) config() (experiments.Config, error) {
 		FaultSeed:  r.FaultSeed,
 		MaxRetries: r.MaxRetries,
 		Watchdog:   time.Duration(r.WatchdogUs) * time.Microsecond,
-	}
-	sizes := r.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{r.N}
-	}
-	switch r.Workload {
-	case "vecadd", "scan":
-		cfg.SizesVecAdd = sizes
-	case "reduce":
-		cfg.SizesReduce = sizes
-	case "matmul":
-		cfg.SizesMatMul = sizes
+		Sizes:      map[string][]int{r.Workload: r.sizes()},
 	}
 	return cfg, nil
+}
+
+// sizes is the request's size list: Sizes for sweep kinds, N otherwise.
+func (r Request) sizes() []int {
+	if len(r.Sizes) == 0 {
+		return []int{r.N}
+	}
+	return r.Sizes
 }
 
 // CacheKey hashes everything that determines a normalized request's
@@ -246,6 +239,10 @@ func (r Request) config() (experiments.Config, error) {
 // the contract the cache identity tests enforce.
 func (r Request) CacheKey() (uint64, error) {
 	cfg, err := r.config()
+	if err != nil {
+		return 0, err
+	}
+	w, err := experiments.Lookup(r.Workload)
 	if err != nil {
 		return 0, err
 	}
@@ -276,17 +273,14 @@ func (r Request) CacheKey() (uint64, error) {
 	num(uint64(r.FaultSeed))
 	num(uint64(r.MaxRetries))
 	num(uint64(r.WatchdogUs))
-	sizes := r.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{r.N}
-	}
+	sizes := r.sizes()
 	num(uint64(len(sizes)))
 	for _, n := range sizes {
 		num(uint64(n))
-		// The kernel component: the disassembly of the kernel this size
-		// launches. Pipelined kernels are chunked variants of the same
-		// bodies; kind+chunks above keep their keys apart.
-		prog, blocks, err := algorithms.BuiltinKernel(r.Workload, n, cfg.Device.WarpWidth)
+		// The kernel component: the disassembly of the first kernel this
+		// size launches. Pipelined kernels are chunked variants of the
+		// same bodies; kind+chunks above keep their keys apart.
+		prog, blocks, err := w.Kernel(n, cfg.Device.WarpWidth)
 		if err != nil {
 			return 0, fmt.Errorf("size %d: %w", n, err)
 		}
@@ -474,7 +468,11 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		doc.Point = &pt
 		doc.Records = []results.Record{runner.Record("analyze", req.Workload, pt)}
 	case "lint":
-		prog, blocks, err := algorithms.BuiltinKernel(req.Workload, req.N, cfg.Device.WarpWidth)
+		w, err := experiments.Lookup(req.Workload)
+		if err != nil {
+			return nil, err
+		}
+		prog, blocks, err := w.Kernel(req.N, cfg.Device.WarpWidth)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +487,7 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		}
 		doc.Lint = rep
 	case "run", "sweep":
-		data, err := x.sweep(runner, req.Workload)
+		data, err := runner.Sweep(req.Workload)
 		if err != nil {
 			return nil, err
 		}
@@ -505,7 +503,7 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 			doc.Points = data.Points
 		}
 	case "pipeline":
-		data, err := x.pipeline(runner, req.Workload)
+		data, err := runner.SweepPipelined(req.Workload)
 		if err != nil {
 			return nil, err
 		}
@@ -547,30 +545,4 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		art.Metrics = buf.Bytes()
 	}
 	return art, nil
-}
-
-// sweep dispatches to the workload's observed sweep.
-func (x *Executor) sweep(r *experiments.Runner, workload string) (*experiments.WorkloadData, error) {
-	switch workload {
-	case "vecadd":
-		return r.RunVecAdd()
-	case "reduce":
-		return r.RunReduce()
-	case "matmul":
-		return r.RunMatMul()
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
-}
-
-// pipeline dispatches to the workload's pipelined sweep.
-func (x *Executor) pipeline(r *experiments.Runner, workload string) (*experiments.PipelineData, error) {
-	switch workload {
-	case "vecadd":
-		return r.RunVecAddPipelined()
-	case "reduce":
-		return r.RunReducePipelined()
-	case "matmul":
-		return r.RunMatMulPipelined()
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
 }

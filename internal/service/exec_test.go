@@ -36,7 +36,7 @@ func TestNormalizeRejections(t *testing.T) {
 	bad := []Request{
 		{Kind: "warp", Workload: "vecadd", N: 8},                      // unknown kind
 		{Kind: "run", Workload: "sort", N: 8},                         // unknown workload
-		{Kind: "run", Workload: "scan", N: 8},                         // scan is lint-only
+		{Kind: "pipeline", Workload: "scan", Sizes: []int{64}},        // no pipelined variant
 		{Kind: "run", Workload: "vecadd"},                             // missing n
 		{Kind: "run", Workload: "vecadd", N: 8, Sizes: []int{1}},      // n and sizes
 		{Kind: "sweep", Workload: "vecadd", N: 8},                     // sizes kind with n
