@@ -1,17 +1,14 @@
 package atgpu
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
 
 	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
-	"atgpu/internal/calibrate"
 	"atgpu/internal/core"
 	"atgpu/internal/experiments"
-	"atgpu/internal/faults"
 	"atgpu/internal/kernel"
 	"atgpu/internal/models"
 	"atgpu/internal/obs"
@@ -117,9 +114,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// ExperimentConfig translates the options into a sweep configuration for
-// the experiments runner (cmd/atgpu `sweep`, cmd/atgpu-figures), threading
-// through the device, transfer scheme, σ, worker count and fault wiring.
+// ExperimentConfig translates the options into a configuration for the
+// experiments runner (NewSystem, cmd/atgpu `sweep`, cmd/atgpu-figures),
+// threading through the device, transfer scheme, σ, worker count and fault
+// wiring.
 func (o Options) ExperimentConfig() experiments.Config {
 	return experiments.Config{
 		Device:     o.Device,
@@ -140,11 +138,12 @@ func (o Options) ExperimentConfig() experiments.Config {
 
 // System bundles a simulated device, a transfer link and calibrated cost
 // parameters — everything needed to both predict (on the abstract model)
-// and observe (on the simulator) an algorithm's running time.
+// and observe (on the simulator) an algorithm's running time. It runs on
+// the experiments runner the sweeps use, so a single run and a sweep point
+// build the same hosts and price the same analyses.
 type System struct {
-	opts   Options
-	link   *transfer.Link
-	params core.CostParams
+	opts Options
+	r    *experiments.Runner
 	// hostSeq numbers the hosts built, giving each run a fresh
 	// deterministically seeded fault injector. Atomic so a System shared
 	// across goroutines stays race-free (though the sequence each run
@@ -157,61 +156,22 @@ type System struct {
 // device, which takes a few milliseconds of simulation. Calibration always
 // runs fault-free: cost parameters describe the healthy machine.
 func NewSystem(opts Options) (*System, error) {
-	if err := opts.Device.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.SyncCost < 0 {
-		return nil, fmt.Errorf("atgpu: negative sync cost %v", opts.SyncCost)
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("atgpu: negative workers %d", opts.Workers)
-	}
-	if opts.Chunks < 0 {
-		return nil, fmt.Errorf("atgpu: negative chunks %d", opts.Chunks)
-	}
-	if opts.FaultRate < 0 || opts.FaultRate > 1 {
-		return nil, fmt.Errorf("atgpu: fault rate %v outside [0,1]", opts.FaultRate)
-	}
-	if opts.MaxRetries < 0 {
-		return nil, fmt.Errorf("atgpu: negative max retries %d", opts.MaxRetries)
-	}
-	if opts.Watchdog < 0 {
-		return nil, fmt.Errorf("atgpu: negative watchdog %v", opts.Watchdog)
-	}
-	link := transfer.PCIeGen3x8Link()
-
-	calCfg := opts.Device
-	if calCfg.GlobalWords > 1<<22 {
-		calCfg.GlobalWords = 1 << 22
-	}
-	dev, err := simgpu.New(calCfg)
+	r, err := experiments.NewRunner(opts.ExperimentConfig())
 	if err != nil {
 		return nil, err
 	}
-	dev.SetUniformProver(analyze.UniformProver)
-	eng, err := transfer.NewEngine(link, opts.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	cal, err := calibrate.Run(dev, eng, opts.SyncCost)
-	if err != nil {
-		return nil, err
-	}
-	return &System{opts: opts, link: link, params: cal.Params}, nil
+	return &System{opts: opts, r: r}, nil
 }
 
 // CostParams returns the calibrated γ, λ, σ, α, β, k', H.
-func (s *System) CostParams() core.CostParams { return s.params }
+func (s *System) CostParams() core.CostParams { return s.r.CostParams() }
 
 // Options returns the system options.
 func (s *System) Options() Options { return s.opts }
 
 // ModelParams returns the perfect-GPU machine instance for a launch of
 // blocks thread blocks on this system's device geometry.
-func (s *System) ModelParams(blocks int) core.Params {
-	return core.ForProblem(blocks, s.opts.Device.WarpWidth,
-		s.opts.Device.SharedWords, s.opts.Device.GlobalWords)
-}
+func (s *System) ModelParams(blocks int) core.Params { return s.r.ModelParams(blocks) }
 
 // Prediction is the model-side account of an algorithm: the per-round
 // analysis plus both cost-function evaluations and the SWGPU baseline.
@@ -228,41 +188,19 @@ type Prediction struct {
 	TransferFraction float64
 }
 
-func (s *System) predict(a *core.Analysis) (*Prediction, error) {
-	perfect, err := core.PerfectCost(a, s.params)
-	if err != nil {
-		return nil, err
-	}
-	bd, err := core.GPUCostBreakdown(a, s.params)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := models.SWGPUCost(a, s.params)
-	if err != nil {
-		return nil, err
-	}
-	return &Prediction{
-		Analysis:         a,
-		PerfectCost:      perfect,
-		GPUCost:          bd.Total(),
-		SWGPUCost:        sw,
-		TransferFraction: bd.TransferFraction(),
-	}, nil
-}
-
 // AnalyzeVecAdd predicts vector addition of length n (paper §IV-A).
-func (s *System) AnalyzeVecAdd(n int) (*Prediction, error) { return s.analyzeWorkload("vecadd", n) }
+func (s *System) AnalyzeVecAdd(n int) (*Prediction, error) { return s.Predict("vecadd", n) }
 
 // AnalyzeReduce predicts reduction of length n (paper §IV-B).
-func (s *System) AnalyzeReduce(n int) (*Prediction, error) { return s.analyzeWorkload("reduce", n) }
+func (s *System) AnalyzeReduce(n int) (*Prediction, error) { return s.Predict("reduce", n) }
 
 // AnalyzeMatMul predicts n×n matrix multiplication (paper §IV-C).
-func (s *System) AnalyzeMatMul(n int) (*Prediction, error) { return s.analyzeWorkload("matmul", n) }
+func (s *System) AnalyzeMatMul(n int) (*Prediction, error) { return s.Predict("matmul", n) }
 
-// analyzeWorkload predicts a registered workload at size n, with the
-// launch geometry its sweep runs.
-func (s *System) analyzeWorkload(name string, n int) (*Prediction, error) {
-	w, err := experiments.Lookup(name)
+// Predict prices a registered workload (see experiments.WorkloadNames) at
+// size n, with the launch geometry its run uses.
+func (s *System) Predict(workload string, n int) (*Prediction, error) {
+	w, err := experiments.Lookup(workload)
 	if err != nil {
 		return nil, err
 	}
@@ -270,12 +208,28 @@ func (s *System) analyzeWorkload(name string, n int) (*Prediction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.predict(a)
+	return s.Analyze(a)
 }
 
 // Analyze prices a caller-supplied analysis, for algorithms designed
 // directly against the model.
-func (s *System) Analyze(a *core.Analysis) (*Prediction, error) { return s.predict(a) }
+func (s *System) Analyze(a *core.Analysis) (*Prediction, error) {
+	perfect, err := core.PerfectCost(a, s.r.CostParams())
+	if err != nil {
+		return nil, err
+	}
+	pt, err := s.r.Predict(a)
+	if err != nil {
+		return nil, err
+	}
+	return &Prediction{
+		Analysis:         a,
+		PerfectCost:      perfect,
+		GPUCost:          pt.ATGPUCost,
+		SWGPUCost:        pt.SWGPUCost,
+		TransferFraction: pt.DeltaPredicted,
+	}, nil
+}
 
 // Observation is the simulator-side account of one run.
 type Observation struct {
@@ -320,70 +274,10 @@ func observation(h *simgpu.Host) Observation {
 	return o
 }
 
-// newHost builds a fresh device+host pair sized for footprint words. A
-// footprint the device preset cannot hold fails here, naming the sizes,
-// rather than as an opaque Malloc error mid-run. With FaultRate > 0 the
-// pair is armed with a per-run seeded injector shared between the transfer
-// engine and the host.
-func (s *System) newHost(footprint int) (*simgpu.Host, error) {
-	devCfg := s.opts.Device
-	slack := 4 * devCfg.WarpWidth
-	need := footprint + slack
-	if need > devCfg.GlobalWords {
-		return nil, fmt.Errorf("atgpu: footprint %d words (+%d alignment slack) exceeds device %s global memory G=%d",
-			footprint, slack, devCfg.Name, devCfg.GlobalWords)
-	}
-	devCfg.GlobalWords = need
-	dev, err := simgpu.New(devCfg)
-	if err != nil {
-		return nil, err
-	}
-	dev.SetUniformProver(analyze.UniformProver)
-	eng, err := transfer.NewEngine(s.link, s.opts.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	h, err := simgpu.NewHost(dev, eng, s.opts.SyncCost)
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.FaultRate > 0 {
-		seq := s.hostSeq.Add(1) - 1
-		inj, err := faults.NewRate(faults.RateConfig{
-			Seed:         s.opts.FaultSeed + 1_000_003*seq,
-			TransferRate: s.opts.FaultRate,
-			KernelRate:   s.opts.FaultRate,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policy := transfer.DefaultRetryPolicy()
-		if s.opts.MaxRetries > 0 {
-			policy.MaxRetries = s.opts.MaxRetries
-		}
-		policy.Seed = s.opts.FaultSeed + 1_000_003*seq + 1
-		if err := eng.SetFaults(inj, policy); err != nil {
-			return nil, err
-		}
-		if err := h.SetFaults(inj, s.opts.Watchdog, 0); err != nil {
-			return nil, err
-		}
-	}
-	if o := s.opts.ObsOptions(); o.Enabled() {
-		h.SetObs(o.New())
-		if o.Trace {
-			// A device tracer embeds per-block spans in the trace.
-			h.SetTracer(&simgpu.Tracer{MaxEvents: o.TraceMaxEvents})
-		}
-	}
-	if s.opts.Lint != LintOff {
-		// Analyse against the machine the launch actually targets (the
-		// footprint-sized device), so bounds findings match its traps.
-		cp := s.params
-		h.SetPreLaunch(analyze.Gate(analyze.FromConfig(devCfg), &cp,
-			s.opts.Lint, s.opts.LintWriter))
-	}
-	return h, nil
+// faultSeed returns the fault seed of the next host the system builds: the
+// k-th draws FaultSeed + 1_000_003·k.
+func (s *System) faultSeed() int64 {
+	return s.opts.FaultSeed + 1_000_003*(s.hostSeq.Add(1)-1)
 }
 
 // Lint statically analyses a kernel for a launch of the given block count on
@@ -391,7 +285,7 @@ func (s *System) newHost(footprint int) (*simgpu.Host, error) {
 // barrier divergence, out-of-bounds accesses, memory-performance hazards and
 // an Expression (1)/(2) cost estimate using the calibrated parameters.
 func (s *System) Lint(prog *kernel.Program, blocks int) (*analyze.Report, error) {
-	cp := s.params
+	cp := s.r.CostParams()
 	return analyze.Program(prog, analyze.Options{
 		Machine: analyze.FromConfig(s.opts.Device),
 		Blocks:  blocks,
@@ -399,11 +293,29 @@ func (s *System) Lint(prog *kernel.Program, blocks int) (*analyze.Report, error)
 	})
 }
 
+// Run executes a registered workload at size n on the simulated device,
+// over inputs drawn from seed 1, and checks the result against the CPU
+// reference (a mismatch wraps algorithms.ErrVerifyFail).
+func (s *System) Run(workload string, n int) (Observation, error) {
+	w, err := experiments.Lookup(workload)
+	if err != nil {
+		return Observation{}, err
+	}
+	h, err := s.r.NewHost(w.Footprint(n, s.opts.Device.WarpWidth), s.faultSeed())
+	if err != nil {
+		return Observation{}, err
+	}
+	if err := w.Run(h, n, w.RunInputs(n)); err != nil {
+		return Observation{}, err
+	}
+	return observation(h), nil
+}
+
 // RunVecAdd executes A+B on the simulated device and returns the result
 // with its observation.
 func (s *System) RunVecAdd(a, b []Word) ([]Word, Observation, error) {
 	alg := algorithms.VecAdd{N: len(a)}
-	h, err := s.newHost(alg.GlobalWords())
+	h, err := s.r.NewHost(alg.GlobalWords(), s.faultSeed())
 	if err != nil {
 		return nil, Observation{}, err
 	}
@@ -417,7 +329,7 @@ func (s *System) RunVecAdd(a, b []Word) ([]Word, Observation, error) {
 // RunReduce executes the sum reduction on the simulated device.
 func (s *System) RunReduce(input []Word) (Word, Observation, error) {
 	alg := algorithms.Reduce{N: len(input)}
-	h, err := s.newHost(alg.GlobalWords(s.opts.Device.WarpWidth))
+	h, err := s.r.NewHost(alg.GlobalWords(s.opts.Device.WarpWidth), s.faultSeed())
 	if err != nil {
 		return 0, Observation{}, err
 	}
@@ -431,7 +343,7 @@ func (s *System) RunReduce(input []Word) (Word, Observation, error) {
 // RunMatMul executes C = A×B (row-major n×n) on the simulated device.
 func (s *System) RunMatMul(a, b []Word, n int) ([]Word, Observation, error) {
 	alg := algorithms.MatMul{N: n}
-	h, err := s.newHost(alg.GlobalWords())
+	h, err := s.r.NewHost(alg.GlobalWords(), s.faultSeed())
 	if err != nil {
 		return nil, Observation{}, err
 	}
@@ -448,54 +360,11 @@ func (s *System) RunOutOfCoreReduce(input []Word, chunkWords int) (algorithms.Ou
 	alg := algorithms.OutOfCoreReduce{N: len(input), ChunkWords: chunkWords}
 	b := s.opts.Device.WarpWidth
 	footprint := 2*chunkWords + (chunkWords+b-1)/b
-	h, err := s.newHost(footprint)
+	h, err := s.r.NewHost(footprint, s.faultSeed())
 	if err != nil {
 		return algorithms.OutOfCoreResult{}, err
 	}
 	return alg.Run(h, input)
-}
-
-// pipelineStreams is the stream count of the facade's overlapped runs:
-// classic double buffering, matching the experiments sweeps.
-const pipelineStreams = 2
-
-// chunks resolves the effective chunk count of the pipelined runs.
-func (o Options) chunks() int {
-	if o.Chunks > 0 {
-		return o.Chunks
-	}
-	return 4
-}
-
-// AnalyzeVecAddPipelined prices chunked vector addition with the
-// overlapped-cost model (Expression 2 with per-round pipelining).
-func (s *System) AnalyzeVecAddPipelined(n int) (core.PipelinedCost, error) {
-	return s.analyzePipelined("vecadd", n)
-}
-
-// AnalyzeReducePipelined prices the chunked reduction with the
-// overlapped-cost model.
-func (s *System) AnalyzeReducePipelined(n int) (core.PipelinedCost, error) {
-	return s.analyzePipelined("reduce", n)
-}
-
-// AnalyzeMatMulPipelined prices row-banded matrix multiplication with the
-// overlapped-cost model.
-func (s *System) AnalyzeMatMulPipelined(n int) (core.PipelinedCost, error) {
-	return s.analyzePipelined("matmul", n)
-}
-
-// analyzePipelined prices a registered workload's pipelined variant.
-func (s *System) analyzePipelined(name string, n int) (core.PipelinedCost, error) {
-	w, err := experiments.Lookup(name)
-	if err != nil {
-		return core.PipelinedCost{}, err
-	}
-	a, err := w.Pipelined.Analyze(n, s.opts.Device.WarpWidth, s.opts.chunks(), s.ModelParams)
-	if err != nil {
-		return core.PipelinedCost{}, err
-	}
-	return core.GPUCostPipelined(a, s.params)
 }
 
 // PipelineRun compares one workload's sequential-chunked schedule against
@@ -508,6 +377,8 @@ type PipelineRun struct {
 	Sequential, Pipelined Observation
 	// Saving is Sequential.Total − Pipelined.Total.
 	Saving time.Duration
+	// Predicted is the overlapped-cost model's account of both schedules.
+	Predicted core.PipelinedCost
 	// Report folds both runs' observability reports onto one timeline —
 	// the sequential schedule's spans tagged "seq/...", the overlapped
 	// schedule's "pipe/..." — so the H2D/compute/D2H overlap is visible
@@ -525,105 +396,33 @@ func (p PipelineRun) SavingFraction() float64 {
 	return float64(p.Saving) / float64(p.Sequential.Total)
 }
 
-// runPipelined executes both schedules; footprint and run see the stream
-// count (1 for the baseline, Streams for the overlapped schedule).
-func (s *System) runPipelined(chunks int,
-	footprint func(streams int) (int, error),
-	run func(h *simgpu.Host, streams int) error) (PipelineRun, error) {
-	pr := PipelineRun{Chunks: chunks, Streams: pipelineStreams}
-	observe := func(streams int) (Observation, error) {
-		words, err := footprint(streams)
-		if err != nil {
-			return Observation{}, err
-		}
-		h, err := s.newHost(words)
-		if err != nil {
-			return Observation{}, err
-		}
-		if err := run(h, streams); err != nil {
-			return Observation{}, err
-		}
-		return observation(h), nil
+// RunPipelined executes a registered workload's pipelined variant at size
+// n, over inputs drawn from seed 1, once with its chunks on one stream and
+// once overlapped on several, checks both results against the CPU
+// reference and prices both schedules.
+func (s *System) RunPipelined(workload string, n int) (PipelineRun, error) {
+	w, err := experiments.LookupPipelined(workload)
+	if err != nil {
+		return PipelineRun{}, err
 	}
-	var err error
-	if pr.Sequential, err = observe(1); err != nil {
-		return pr, err
+	ph, err := s.r.ObservePipelined(w, n, w.RunInputs(n), s.faultSeed)
+	if err != nil {
+		return PipelineRun{}, err
 	}
-	if pr.Pipelined, err = observe(pr.Streams); err != nil {
-		return pr, err
+	pc, err := s.r.PredictPipelined(w, n)
+	if err != nil {
+		return PipelineRun{}, err
+	}
+	pr := PipelineRun{
+		Chunks:     ph.Chunks,
+		Streams:    ph.Streams,
+		Sequential: observation(ph.Sequential),
+		Pipelined:  observation(ph.Pipelined),
+		Predicted:  pc,
+		Report:     ph.Obs,
 	}
 	pr.Saving = pr.Sequential.Total - pr.Pipelined.Total
-	if o := s.opts.ObsOptions(); o.Enabled() {
-		pr.Report = &obs.Report{}
-		if o.Trace {
-			pr.Report.Trace = obs.NewRecorder(o.TraceMaxEvents)
-		}
-		pr.Report.Merge(pr.Sequential.Report, "seq")
-		pr.Report.Merge(pr.Pipelined.Report, "pipe")
-	}
 	return pr, nil
-}
-
-// RunVecAddPipelined executes A+B with the chunked pipeline, returning the
-// result of the overlapped run and the schedule comparison.
-func (s *System) RunVecAddPipelined(a, b []Word) ([]Word, PipelineRun, error) {
-	chunks := s.opts.chunks()
-	width := s.opts.Device.WarpWidth
-	var out []Word
-	pr, err := s.runPipelined(chunks,
-		func(streams int) (int, error) {
-			return algorithms.PipelinedVecAdd{N: len(a), Chunks: chunks, Streams: streams}.GlobalWords(width)
-		},
-		func(h *simgpu.Host, streams int) error {
-			c, err := algorithms.PipelinedVecAdd{N: len(a), Chunks: chunks, Streams: streams}.Run(h, a, b)
-			if err != nil {
-				return err
-			}
-			out = c
-			return nil
-		})
-	return out, pr, err
-}
-
-// RunReducePipelined executes the chunked sum reduction with per-chunk
-// partials combined on the host.
-func (s *System) RunReducePipelined(input []Word) (Word, PipelineRun, error) {
-	chunks := s.opts.chunks()
-	width := s.opts.Device.WarpWidth
-	var sum Word
-	pr, err := s.runPipelined(chunks,
-		func(streams int) (int, error) {
-			return algorithms.PipelinedReduce{N: len(input), Chunks: chunks, Streams: streams}.GlobalWords(width)
-		},
-		func(h *simgpu.Host, streams int) error {
-			got, err := algorithms.PipelinedReduce{N: len(input), Chunks: chunks, Streams: streams}.Run(h, input)
-			if err != nil {
-				return err
-			}
-			sum = got
-			return nil
-		})
-	return sum, pr, err
-}
-
-// RunMatMulPipelined executes C = A×B by row bands with B resident.
-func (s *System) RunMatMulPipelined(a, b []Word, n int) ([]Word, PipelineRun, error) {
-	chunks := s.opts.chunks()
-	width := s.opts.Device.WarpWidth
-	var out []Word
-	pr, err := s.runPipelined(chunks,
-		func(streams int) (int, error) {
-			return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.GlobalWords(width)
-		},
-		func(h *simgpu.Host, streams int) error {
-			c, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
-			if err != nil {
-				return err
-			}
-			out = c
-			return nil
-		})
-	return out, pr, err
 }
 
 // TableI returns the paper's model feature comparison.

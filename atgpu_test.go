@@ -257,23 +257,12 @@ func TestSystemAnalyzeCustom(t *testing.T) {
 
 func TestSystemRunPipelined(t *testing.T) {
 	sys := testSystem(t)
-	rng := rand.New(rand.NewSource(7))
-	n := 512
-	a := make([]Word, n)
-	b := make([]Word, n)
-	for i := range a {
-		a[i] = Word(rng.Intn(100))
-		b[i] = Word(rng.Intn(100))
-	}
-
-	c, pr, err := sys.RunVecAddPipelined(a, b)
+	// RunPipelined checks every output against the CPU reference (the
+	// registry checks experiments.TestRunChecksCatchOffByOne pins), so a
+	// nil error means the results verified.
+	pr, err := sys.RunPipelined("vecadd", 512)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range c {
-		if c[i] != a[i]+b[i] {
-			t.Fatalf("c[%d] = %d, want %d", i, c[i], a[i]+b[i])
-		}
 	}
 	if pr.Chunks != 4 || pr.Streams != 2 {
 		t.Fatalf("schedule %d chunks / %d streams, want 4/2", pr.Chunks, pr.Streams)
@@ -285,47 +274,29 @@ func TestSystemRunPipelined(t *testing.T) {
 	if f := pr.SavingFraction(); f <= 0 || f >= 1 {
 		t.Fatalf("saving fraction %g outside (0,1)", f)
 	}
+	if f := pr.Predicted.SavingFraction(); f <= 0 || f >= 1 {
+		t.Fatalf("predicted saving fraction %g outside (0,1)", f)
+	}
 
-	sum, rp, err := sys.RunReducePipelined(a)
+	rp, err := sys.RunPipelined("reduce", 512)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var want Word
-	for _, v := range a {
-		want += v
-	}
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
 	}
 	if rp.Sequential.Total <= 0 || rp.Pipelined.Total <= 0 {
 		t.Fatalf("reduce observations empty: %+v", rp)
 	}
 
-	side := 16
-	ma := make([]Word, side*side)
-	mb := make([]Word, side*side)
-	for i := range ma {
-		ma[i] = Word(rng.Intn(10))
-		mb[i] = Word(rng.Intn(10))
-	}
-	mc, mp, err := sys.RunMatMulPipelined(ma, mb, side)
+	mp, err := sys.RunPipelined("matmul", 16)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < side; i++ {
-		for j := 0; j < side; j++ {
-			var w Word
-			for k := 0; k < side; k++ {
-				w += ma[i*side+k] * mb[k*side+j]
-			}
-			if mc[i*side+j] != w {
-				t.Fatalf("C[%d][%d] = %d, want %d", i, j, mc[i*side+j], w)
-			}
-		}
 	}
 	if mp.Pipelined.Total > mp.Sequential.Total {
 		t.Fatalf("matmul pipelined %v slower than sequential %v",
 			mp.Pipelined.Total, mp.Sequential.Total)
+	}
+
+	if _, err := sys.RunPipelined("scan", 64); err == nil {
+		t.Error("scan has no pipelined variant but RunPipelined accepted it")
 	}
 
 	bad := DefaultOptions()

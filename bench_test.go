@@ -562,13 +562,10 @@ func benchObsRun(b *testing.B, opts Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 1024
-	x := benchWords(n, 1)
-	y := benchWords(n, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.RunVecAddPipelined(x, y); err != nil {
+		if _, err := sys.RunPipelined("vecadd", 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,6 +50,7 @@ import (
 	"atgpu/internal/experiments"
 	"atgpu/internal/obs"
 	"atgpu/internal/service"
+	"atgpu/internal/simgpu"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 	kind := flag.String("kind", "run", "job kind: run, sweep, pipeline, analyze or lint")
 	workload := flag.String("workload", "vecadd", "workload: "+strings.Join(experiments.WorkloadNames(), ", "))
 	size := flag.Int("size", 256, "input size n for run/analyze/lint kinds")
-	device := flag.String("device", "tiny", "device preset: gtx650, gtx1080, k40 or tiny")
+	device := flag.String("device", "tiny", "device preset: "+strings.Join(simgpu.PresetNames(), ", "))
 	timeoutMs := flag.Int("timeout-ms", 30_000, "per-job deadline sent with each request")
 	same := flag.Bool("same", false, "send identical requests (one seed) instead of distinct ones")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")

@@ -26,8 +26,9 @@ func silence(t *testing.T) {
 }
 
 // TestRegistryReachableThroughCLI: every registered workload works through
-// `atgpu analyze`, `atgpu sweep` and `atgpu lint -alg`, and `sweep
-// -pipeline` takes exactly the workloads with a pipelined variant.
+// `atgpu analyze`, `atgpu run`, `atgpu sweep` and `atgpu lint -alg`, and
+// `run -pipeline` and `sweep -pipeline` take exactly the workloads with a
+// pipelined variant.
 func TestRegistryReachableThroughCLI(t *testing.T) {
 	silence(t)
 	opts := atgpu.DefaultOptions()
@@ -39,6 +40,12 @@ func TestRegistryReachableThroughCLI(t *testing.T) {
 	for _, w := range experiments.Workloads() {
 		if err := analyzeCmd(w.Name, n, opts); err != nil {
 			t.Errorf("analyze -alg %s: %v", w.Name, err)
+		}
+		if err := run(w.Name, n, opts, "", ""); err != nil {
+			t.Errorf("run -alg %s: %v", w.Name, err)
+		}
+		if err := runPipelined(w.Name, n, opts, "", ""); (err == nil) != (w.Pipelined != nil) {
+			t.Errorf("run -pipeline -alg %s: err = %v, pipelined variant = %v", w.Name, err, w.Pipelined != nil)
 		}
 		// A lint run that reports error-severity findings still reached
 		// the workload; only other failures count.
@@ -57,5 +64,8 @@ func TestRegistryReachableThroughCLI(t *testing.T) {
 	}
 	if err := analyzeCmd("sort", n, opts); err == nil {
 		t.Error("analyze accepted an unknown workload")
+	}
+	if err := run("sort", n, opts, "", ""); err == nil {
+		t.Error("run accepted an unknown workload")
 	}
 }

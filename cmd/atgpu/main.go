@@ -8,17 +8,17 @@
 //	atgpu calibrate
 //	atgpu analyze -alg WORKLOAD -n N
 //	atgpu lint    [-alg WORKLOAD -n N] [-blocks B] [-json] [-o out] [file.pseudo ...]
-//	atgpu run     -alg vecadd|reduce|matmul -n N [--lint warn|error] [--fault-rate R --fault-seed S --max-retries K]
+//	atgpu run     -alg WORKLOAD -n N [-pipeline] [--lint warn|error] [--fault-rate R --fault-seed S --max-retries K]
 //	atgpu sweep   -alg WORKLOAD [-full] [--workers W] [--lint warn|error] [fault flags] [-o dir -run label]
 //
-// WORKLOAD for analyze, lint and sweep is any workload of the experiments
-// registry: the three paper workloads (vecadd, reduce, matmul), scan, and
-// the atomic workloads (histogram, histogram-priv, compact, topk,
-// montecarlo). The atomic sweeps report the contention-priced cost
-// estimate next to the simulated timing, so histogram vs histogram-priv
-// shows the predicted and observed price of shared-counter serialisation
-// side by side. sweep -pipeline takes the workloads with a pipelined
-// variant.
+// WORKLOAD for analyze, lint, run and sweep is any workload of the
+// experiments registry: the three paper workloads (vecadd, reduce,
+// matmul), scan, and the atomic workloads (histogram, histogram-priv,
+// compact, topk, montecarlo). The atomic sweeps report the
+// contention-priced cost estimate next to the simulated timing, so
+// histogram vs histogram-priv shows the predicted and observed price of
+// shared-counter serialisation side by side. run -pipeline and sweep
+// -pipeline take the workloads with a pipelined variant.
 //
 //	atgpu ooc     -n N -chunk C
 //	atgpu results list|diff|compare|gate [-store results.jsonl] [flags]
@@ -33,7 +33,8 @@
 // stderr, error also refuses launches with error-severity findings.
 //
 // analyze prices the algorithm on the abstract model; run additionally
-// executes it on the simulated GTX 650 and reports predicted-vs-observed.
+// executes it on the simulated GTX 650 over seed-1 inputs, checks the
+// result against the CPU reference and reports predicted-vs-observed.
 // sweep runs the paper's full predicted-vs-observed size sweep for one
 // workload, dispatching points to --workers goroutines (0 = all cores);
 // its stdout is byte-identical for any worker count. With
@@ -56,7 +57,6 @@ import (
 
 	"atgpu"
 	"atgpu/internal/algorithms"
-	"atgpu/internal/core"
 	"atgpu/internal/experiments"
 	"atgpu/internal/obs"
 )
@@ -75,7 +75,7 @@ func main() {
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	alg := fs.String("alg", "vecadd", "workload: "+strings.Join(experiments.WorkloadNames(), ", ")+" (run takes vecadd, reduce, matmul)")
+	alg := fs.String("alg", "vecadd", "workload: "+strings.Join(experiments.WorkloadNames(), ", "))
 	n := fs.Int("n", 1_000_000, "input size (vector length / matrix side)")
 	chunk := fs.Int("chunk", 1<<18, "out-of-core chunk size in words")
 	full := fs.Bool("full", false, "sweep: use the paper's exact input sizes (minutes)")
@@ -201,7 +201,7 @@ the whole run (host, streams, device blocks, transfers, faults on a single
 simulated-time axis); --metrics out.prom writes a deterministic Prometheus
 text snapshot; --trace-max-events caps trace growth.
 
-workloads (analyze, lint, sweep): `+strings.Join(experiments.WorkloadNames(), " ")+`
+workloads (analyze, lint, run, sweep): `+strings.Join(experiments.WorkloadNames(), " ")+`
 (atomics carry contention pricing)`)
 }
 
@@ -248,26 +248,12 @@ func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline
 	}
 }
 
-// predictionFor prices a registered workload on the system's model with
-// the launch geometry its sweep runs.
-func predictionFor(sys *atgpu.System, alg string, n int) (*atgpu.Prediction, error) {
-	w, err := experiments.Lookup(alg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := w.Analyze(n, sys.Options().Device.WarpWidth, sys.ModelParams)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Analyze(a)
-}
-
 func analyzeCmd(alg string, n int, opts atgpu.Options) error {
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
 		return err
 	}
-	pred, err := predictionFor(sys, alg, n)
+	pred, err := sys.Predict(alg, n)
 	if err != nil {
 		return err
 	}
@@ -291,62 +277,20 @@ func analyzeCmd(alg string, n int, opts atgpu.Options) error {
 	return nil
 }
 
+// run executes one workload on the simulated device and reports its
+// observed timing and kernel stats next to the model's prediction.
 func run(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) error {
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
 		return err
 	}
-	pred, err := predictionFor(sys, alg, n)
+	pred, err := sys.Predict(alg, n)
 	if err != nil {
 		return err
 	}
-
-	rng := rand.New(rand.NewSource(1))
-	randWords := func(n int) []atgpu.Word {
-		w := make([]atgpu.Word, n)
-		for i := range w {
-			w[i] = atgpu.Word(rng.Intn(2001) - 1000)
-		}
-		return w
-	}
-
-	var ob atgpu.Observation
-	switch alg {
-	case "vecadd":
-		a, b := randWords(n), randWords(n)
-		var c []atgpu.Word
-		if c, ob, err = sys.RunVecAdd(a, b); err != nil {
-			return err
-		}
-		want, _ := algorithms.VecAddReference(a, b)
-		for i := range want {
-			if c[i] != want[i] {
-				return fmt.Errorf("verification failed at %d", i)
-			}
-		}
-	case "reduce":
-		in := randWords(n)
-		var sum atgpu.Word
-		if sum, ob, err = sys.RunReduce(in); err != nil {
-			return err
-		}
-		if sum != algorithms.ReduceReference(in) {
-			return fmt.Errorf("verification failed: %d", sum)
-		}
-	case "matmul":
-		a, b := randWords(n*n), randWords(n*n)
-		var c []atgpu.Word
-		if c, ob, err = sys.RunMatMul(a, b, n); err != nil {
-			return err
-		}
-		want, _ := algorithms.MatMulReference(a, b, n)
-		for i := range want {
-			if c[i] != want[i] {
-				return fmt.Errorf("verification failed at %d", i)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
+	ob, err := sys.Run(alg, n)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("%s n=%d (verified against CPU reference)\n", alg, n)
@@ -378,63 +322,9 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 	if err != nil {
 		return err
 	}
-
-	rng := rand.New(rand.NewSource(1))
-	randWords := func(n int) []atgpu.Word {
-		w := make([]atgpu.Word, n)
-		for i := range w {
-			w[i] = atgpu.Word(rng.Intn(2001) - 1000)
-		}
-		return w
-	}
-
-	var pr atgpu.PipelineRun
-	var pc core.PipelinedCost
-	switch alg {
-	case "vecadd":
-		a, b := randWords(n), randWords(n)
-		var c []atgpu.Word
-		if c, pr, err = sys.RunVecAddPipelined(a, b); err != nil {
-			return err
-		}
-		want, _ := algorithms.VecAddReference(a, b)
-		for i := range want {
-			if c[i] != want[i] {
-				return fmt.Errorf("verification failed at %d", i)
-			}
-		}
-		if pc, err = sys.AnalyzeVecAddPipelined(n); err != nil {
-			return err
-		}
-	case "reduce":
-		in := randWords(n)
-		var sum atgpu.Word
-		if sum, pr, err = sys.RunReducePipelined(in); err != nil {
-			return err
-		}
-		if sum != algorithms.ReduceReference(in) {
-			return fmt.Errorf("verification failed: %d", sum)
-		}
-		if pc, err = sys.AnalyzeReducePipelined(n); err != nil {
-			return err
-		}
-	case "matmul":
-		a, b := randWords(n*n), randWords(n*n)
-		var c []atgpu.Word
-		if c, pr, err = sys.RunMatMulPipelined(a, b, n); err != nil {
-			return err
-		}
-		want, _ := algorithms.MatMulReference(a, b, n)
-		for i := range want {
-			if c[i] != want[i] {
-				return fmt.Errorf("verification failed at %d", i)
-			}
-		}
-		if pc, err = sys.AnalyzeMatMulPipelined(n); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
+	pr, err := sys.RunPipelined(alg, n)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("%s n=%d pipelined (chunks=%d, streams=%d, verified against CPU reference)\n",
@@ -445,7 +335,7 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 		pr.Pipelined.Total, pr.Pipelined.Kernel, pr.Pipelined.Transfer, pr.Pipelined.Sync)
 	fmt.Printf("observed saving:  %v (%.1f%%)\n", pr.Saving, 100*pr.SavingFraction())
 	fmt.Printf("predicted: sequential=%.6gs pipelined=%.6gs saving=%.6gs (%.1f%%)\n",
-		pc.Sequential, pc.Pipelined, pc.Saving(), 100*pc.SavingFraction())
+		pr.Predicted.Sequential, pr.Predicted.Pipelined, pr.Predicted.Saving(), 100*pr.Predicted.SavingFraction())
 	return writeObs(pr.Report, traceOut, metricsOut)
 }
 

@@ -41,7 +41,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
@@ -50,8 +49,6 @@ import (
 
 	"atgpu/internal/analyze"
 	"atgpu/internal/experiments"
-	"atgpu/internal/faults"
-	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/sched"
 	"atgpu/internal/simgpu"
@@ -61,7 +58,7 @@ import (
 func main() {
 	kname := flag.String("kernel", "vecadd", "kernel: "+strings.Join(experiments.WorkloadNames(), ", "))
 	n := flag.Int("n", 4096, "input size")
-	device := flag.String("device", "gtx650", "device preset: gtx650, gtx1080, k40, tiny")
+	device := flag.String("device", "gtx650", "device preset: "+strings.Join(simgpu.PresetNames(), ", "))
 	disasm := flag.Bool("disasm", false, "print kernel disassembly")
 	traceOut := flag.String("trace", "", "write a Perfetto trace of the full host timeline (transfers, streams, kernels, per-block device slices) to this file")
 	traceMaxEvents := flag.Int("trace-max-events", 0, "cap on recorded trace events, host and device each (0 = default 1048576)")
@@ -109,26 +106,18 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 	if traceMaxEvents < 0 {
 		return fmt.Errorf("negative trace-max-events %d", traceMaxEvents)
 	}
-	var cfg simgpu.Config
-	switch device {
-	case "gtx650":
-		cfg = simgpu.GTX650()
-	case "gtx1080":
-		cfg = simgpu.GTX1080()
-	case "k40":
-		cfg = simgpu.TeslaK40()
-	case "tiny":
-		cfg = simgpu.Tiny()
-	default:
-		return fmt.Errorf("unknown device %q", device)
-	}
-
-	w, err := experiments.Lookup(kname)
+	cfg, err := simgpu.PresetByName(device)
 	if err != nil {
 		return err
 	}
-	if pipeline && w.Pipelined == nil {
-		return fmt.Errorf("kernel %q has no pipelined variant", kname)
+
+	lookup := experiments.Lookup
+	if pipeline {
+		lookup = experiments.LookupPipelined
+	}
+	w, err := lookup(kname)
+	if err != nil {
+		return err
 	}
 	// The printed kernel is the first launch, which also validates n.
 	prog, _, err := w.Kernel(n, cfg.WarpWidth)
@@ -156,37 +145,12 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 	// Every replica builds its own device/engine/host and draws inputs
 	// from the same seed, so all replicas simulate the identical run.
 	replica := func(tr *simgpu.Tracer) (*simgpu.Host, error) {
-		dev, err := simgpu.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		dev.SetUniformProver(analyze.UniformProver)
-		eng, err := transfer.NewEngine(transfer.PCIeGen3x8Link(), transfer.Pinned)
-		if err != nil {
-			return nil, err
-		}
-		h, err := simgpu.NewHost(dev, eng, 0)
+		h, err := experiments.BuildHost(cfg, transfer.PCIeGen3x8Link(), transfer.Pinned, 0)
 		if err != nil {
 			return nil, err
 		}
 		if faultRate > 0 {
-			inj, err := faults.NewRate(faults.RateConfig{
-				Seed:         faultSeed,
-				TransferRate: faultRate,
-				KernelRate:   faultRate,
-			})
-			if err != nil {
-				return nil, err
-			}
-			policy := transfer.DefaultRetryPolicy()
-			if maxRetries > 0 {
-				policy.MaxRetries = maxRetries
-			}
-			policy.Seed = faultSeed + 1
-			if err := eng.SetFaults(inj, policy); err != nil {
-				return nil, err
-			}
-			if err := h.SetFaults(inj, 0, 0); err != nil {
+			if err := experiments.ArmFaults(h, faultRate, faultSeed, maxRetries, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -198,10 +162,7 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 			h.SetPreLaunch(analyze.Gate(analyze.FromConfig(cfg), nil, lint, os.Stderr))
 		}
 
-		var in [][]mem.Word
-		if w.Inputs != nil {
-			in = w.Inputs(rand.New(rand.NewSource(1)), n)
-		}
+		in := w.RunInputs(n)
 		if pipeline {
 			err = w.Pipelined.Run(h, n, chunks, 2, in)
 		} else {

@@ -28,6 +28,7 @@
 //	...
 //	report, err := sys.AnalyzeVecAdd(1_000_000) // predicted costs
 //	result, err := sys.RunVecAdd(a, b)          // simulated execution
+//	obs, err := sys.Run("reduce", 1<<16)        // any registered workload, seed-1 inputs
 //
 // See examples/ for complete programs and cmd/atgpu-figures for the
 // paper-reproduction harness.

@@ -41,7 +41,7 @@ func (r *Runner) RunTransposeContrast(n int) (*TransposeContrast, error) {
 
 	for _, tiled := range []bool{false, true} {
 		alg := algorithms.Transpose{N: n, Tiled: tiled}
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(b)))
+		analysis, err := alg.Analyze(r.ModelParams(alg.Blocks(b)))
 		if err != nil {
 			return nil, fmt.Errorf("%s: analyze: %w", alg.Name(), err)
 		}
@@ -160,11 +160,11 @@ func RunDeviceSweep(n int, scheme transfer.Scheme, syncCost int64) ([]DevicePoin
 		r := &Runner{cfg: cfg, link: link, params: cal.Params, calib: cal}
 
 		alg := algorithms.VecAdd{N: n}
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(preset.WarpWidth)))
+		analysis, err := alg.Analyze(r.ModelParams(alg.Blocks(preset.WarpWidth)))
 		if err != nil {
 			return nil, fmt.Errorf("%s: analyze: %w", preset.Name, err)
 		}
-		pt, err := r.predict(analysis)
+		pt, err := r.Predict(analysis)
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"atgpu/internal/core"
+	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
 	"atgpu/internal/sched"
+	"atgpu/internal/simgpu"
 )
 
 // Pipelined sweeps compare the sequential-chunked schedule against the
@@ -180,72 +182,116 @@ func (r *Runner) foldPipelineObs(workload string, data *PipelineData) error {
 	return nil
 }
 
-// SweepPipelined runs a registered workload's sequential-versus-overlapped
-// sweep over its effective sizes, recorded as "<workload>-pipelined".
-func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
-	w, err := Lookup(workload)
+// LookupPipelined returns the registered workload of that name, which must
+// have a pipelined variant.
+func LookupPipelined(name string) (*Workload, error) {
+	w, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	p := w.Pipelined
-	if p == nil {
-		return nil, fmt.Errorf("experiments: workload %q has no pipelined variant", workload)
+	if w.Pipelined == nil {
+		return nil, fmt.Errorf("experiments: workload %q has no pipelined variant", name)
+	}
+	return w, nil
+}
+
+// PredictPipelined prices a size-n point of w's pipelined variant with the
+// overlapped-cost model (Expression 2 with per-round pipelining).
+func (r *Runner) PredictPipelined(w *Workload, n int) (core.PipelinedCost, error) {
+	a, err := w.Pipelined.Analyze(n, r.cfg.Device.WarpWidth, r.cfg.chunks(), r.ModelParams)
+	if err != nil {
+		return core.PipelinedCost{}, fmt.Errorf("analyze: %w", err)
+	}
+	pc, err := core.GPUCostPipelined(a, r.params)
+	if err != nil {
+		return pc, fmt.Errorf("predict: %w", err)
+	}
+	return pc, nil
+}
+
+// PipelineHosts is one pipelined comparison: the same chunks run on one
+// stream and overlapped on several, each on its own finished host.
+type PipelineHosts struct {
+	// Chunks and Streams describe the overlapped schedule.
+	Chunks, Streams int
+	// Sequential and Pipelined are the one-stream and overlapped runs.
+	Sequential, Pipelined *simgpu.Host
+	// Obs folds both runs' reports, the sequential run's spans tagged
+	// "seq/...", the overlapped run's "pipe/...", so the two schedules sit
+	// side by side in one trace (nil unless Config.Obs enables collection).
+	Obs *obs.Report
+}
+
+// ObservePipelined runs a size-n point of w's pipelined variant over in,
+// once per schedule, each on a fresh host armed with the next faultSeed().
+func (r *Runner) ObservePipelined(w *Workload, n int, in [][]mem.Word, faultSeed func() int64) (PipelineHosts, error) {
+	ph := PipelineHosts{Chunks: r.cfg.chunks(), Streams: pipelineStreams}
+	p, b := w.Pipelined, r.cfg.Device.WarpWidth
+	observe := func(streams int, tag string) (*simgpu.Host, error) {
+		words, err := p.Footprint(n, b, ph.Chunks, streams)
+		if err != nil {
+			return nil, err
+		}
+		h, err := r.NewHost(words, faultSeed())
+		if err != nil {
+			return nil, err
+		}
+		if err := p.Run(h, n, ph.Chunks, streams, in); err != nil {
+			return nil, err
+		}
+		if rep := h.SnapshotObs(); rep != nil {
+			if ph.Obs == nil {
+				ph.Obs = r.newSweepReport()
+			}
+			ph.Obs.Merge(rep, tag)
+		}
+		return h, nil
+	}
+	var err error
+	if ph.Sequential, err = observe(1, "seq"); err != nil {
+		return ph, fmt.Errorf("sequential: %w", err)
+	}
+	if ph.Pipelined, err = observe(ph.Streams, "pipe"); err != nil {
+		return ph, fmt.Errorf("pipelined: %w", err)
+	}
+	return ph, nil
+}
+
+// SweepPipelined runs a registered workload's sequential-versus-overlapped
+// sweep over its effective sizes, recorded as "<workload>-pipelined".
+func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
+	w, err := LookupPipelined(workload)
+	if err != nil {
+		return nil, err
 	}
 	sizes, err := r.cfg.SweepSizes(workload)
 	if err != nil {
 		return nil, err
 	}
 	name := w.Name + "-pipelined"
-	chunks := r.cfg.chunks()
-	b := r.cfg.Device.WarpWidth
 	return r.runPipelineSweep(name, sizes, func(idx, n int) (PipelinePoint, error) {
-		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		analysis, err := p.Analyze(n, b, chunks, r.modelParams)
+		pc, err := r.PredictPipelined(w, n)
 		if err != nil {
-			return pt, fmt.Errorf("%s n=%d: analyze: %w", name, n, err)
+			return PipelinePoint{}, fmt.Errorf("%s n=%d: %w", name, n, err)
 		}
-		pc, err := core.GPUCostPipelined(analysis, r.params)
+		// Both schedules run with the point's one derived fault seed.
+		seed := derivedSeed(r.cfg.FaultSeed, "fault", name, n, idx)
+		ph, err := r.ObservePipelined(w, n, r.inputs(w, name, n, idx), func() int64 { return seed })
 		if err != nil {
-			return pt, fmt.Errorf("%s n=%d: predict: %w", name, n, err)
+			return PipelinePoint{}, fmt.Errorf("%s n=%d %w", name, n, err)
 		}
-		pt.PredictedSequential = pc.Sequential
-		pt.PredictedPipelined = pc.Pipelined
-		pt.PredictedSaving = pc.Saving()
-
-		in := r.inputs(w, name, n, idx)
-		// observe runs one schedule on a fresh host, folding its report
-		// into the point's under tag.
-		observe := func(streams int, tag string) (float64, error) {
-			words, err := p.Footprint(n, b, chunks, streams)
-			if err != nil {
-				return 0, err
-			}
-			h, err := r.newHost(words, name, n, idx)
-			if err != nil {
-				return 0, err
-			}
-			if err := p.Run(h, n, chunks, streams, in); err != nil {
-				return 0, err
-			}
-			if rep := h.SnapshotObs(); rep != nil {
-				if pt.Obs == nil {
-					pt.Obs = r.newSweepReport()
-				}
-				pt.Obs.Merge(rep, tag)
-			}
-			return h.Report().Total.Seconds(), nil
-		}
-		seq, err := observe(1, "seq")
-		if err != nil {
-			return pt, fmt.Errorf("%s n=%d sequential: %w", name, n, err)
-		}
-		pipe, err := observe(pt.Streams, "pipe")
-		if err != nil {
-			return pt, fmt.Errorf("%s n=%d pipelined: %w", name, n, err)
-		}
-		pt.SequentialTime = seq
-		pt.PipelinedTime = pipe
-		pt.ObservedSaving = seq - pipe
-		return pt, nil
+		seq, pipe := ph.Sequential.Report().Total.Seconds(), ph.Pipelined.Report().Total.Seconds()
+		return PipelinePoint{
+			N:                   n,
+			Chunks:              ph.Chunks,
+			Streams:             ph.Streams,
+			SequentialTime:      seq,
+			PipelinedTime:       pipe,
+			ObservedSaving:      seq - pipe,
+			PredictedSequential: pc.Sequential,
+			PredictedPipelined:  pc.Pipelined,
+			PredictedSaving:     pc.Saving(),
+			Obs:                 ph.Obs,
+		}, nil
 	})
 }

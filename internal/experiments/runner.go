@@ -244,16 +244,11 @@ func Calibrate(cfg Config) (*transfer.Link, calibrate.Result, error) {
 	if calCfg.GlobalWords > 1<<22 {
 		calCfg.GlobalWords = 1 << 22
 	}
-	dev, err := simgpu.New(calCfg)
+	h, err := BuildHost(calCfg, link, cfg.Scheme, cfg.SyncCost)
 	if err != nil {
 		return nil, calibrate.Result{}, err
 	}
-	dev.SetUniformProver(analyze.UniformProver)
-	eng, err := transfer.NewEngine(link, cfg.Scheme)
-	if err != nil {
-		return nil, calibrate.Result{}, err
-	}
-	cal, err := calibrate.Run(dev, eng, cfg.SyncCost)
+	cal, err := calibrate.Run(h.Device(), h.Engine(), cfg.SyncCost)
 	if err != nil {
 		return nil, calibrate.Result{}, err
 	}
@@ -283,10 +278,10 @@ func (r *Runner) Calibration() calibrate.Result { return r.calib }
 // Config returns the runner configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// modelParams builds the abstract machine instance for a launch of k
+// ModelParams builds the abstract machine instance for a launch of k
 // blocks: the perfect GPU has one multiprocessor per block; M and G follow
 // the concrete device so feasibility checks bind.
-func (r *Runner) modelParams(blocks int) core.Params {
+func (r *Runner) ModelParams(blocks int) core.Params {
 	return core.ForProblem(blocks, r.cfg.Device.WarpWidth,
 		r.cfg.Device.SharedWords, r.cfg.Device.GlobalWords)
 }
@@ -317,57 +312,69 @@ func (r *Runner) inputRNG(workload string, n, idx int) *rand.Rand {
 	return rand.New(rand.NewSource(derivedSeed(r.cfg.Seed, "input", workload, n, idx)))
 }
 
-// newHost builds a device+host pair whose global memory holds footprint
-// words (plus alignment slack), so sweeps over large n do not allocate the
-// preset's full G per point. A footprint the preset cannot hold fails here,
-// naming the workload and size, rather than as an opaque Malloc error
-// mid-sweep.
-//
-// With FaultRate > 0, the pair is armed with a fresh seeded injector
-// shared between the transfer engine and the host, so one fault log covers
-// the whole point; the injector seed derives from (FaultSeed, workload, n,
-// idx) so sweeps replay exactly at any worker count.
-func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Host, error) {
+// BuildHost builds a fresh device, transfer engine and host on the device
+// config dev, with the analyzer's uniformity prover attached. It is the one
+// place the front doors assemble a host: callers size dev and layer
+// faults (ArmFaults), observability and lint on top.
+func BuildHost(dev simgpu.Config, link *transfer.Link, scheme transfer.Scheme, syncCost time.Duration) (*simgpu.Host, error) {
+	d, err := simgpu.New(dev)
+	if err != nil {
+		return nil, err
+	}
+	d.SetUniformProver(analyze.UniformProver)
+	eng, err := transfer.NewEngine(link, scheme)
+	if err != nil {
+		return nil, err
+	}
+	return simgpu.NewHost(d, eng, syncCost)
+}
+
+// ArmFaults attaches one injector, seeded seed, to h and its transfer
+// engine, so one fault log covers the whole run: every transfer and launch
+// draws a fault with probability rate. The retry jitter is seeded seed+1;
+// maxRetries overrides the retry budget and watchdog the kernel watchdog
+// timeout when > 0.
+func ArmFaults(h *simgpu.Host, rate float64, seed int64, maxRetries int, watchdog time.Duration) error {
+	inj, err := faults.NewRate(faults.RateConfig{
+		Seed:         seed,
+		TransferRate: rate,
+		KernelRate:   rate,
+	})
+	if err != nil {
+		return err
+	}
+	policy := transfer.DefaultRetryPolicy()
+	if maxRetries > 0 {
+		policy.MaxRetries = maxRetries
+	}
+	policy.Seed = seed + 1
+	if err := h.Engine().SetFaults(inj, policy); err != nil {
+		return err
+	}
+	return h.SetFaults(inj, watchdog, 0)
+}
+
+// NewHost builds a host whose device global memory holds footprint words
+// (plus alignment slack), so runs over large n do not allocate the
+// preset's full G. A footprint the preset cannot hold fails here rather
+// than as an opaque Malloc error mid-run. With FaultRate > 0 the host is
+// armed with an injector seeded faultSeed; observability and the lint
+// pre-flight follow the config.
+func (r *Runner) NewHost(footprint int, faultSeed int64) (*simgpu.Host, error) {
 	devCfg := r.cfg.Device
 	slack := 4 * devCfg.WarpWidth
 	need := footprint + slack
 	if need > devCfg.GlobalWords {
-		return nil, fmt.Errorf("experiments: %s n=%d: footprint %d words (+%d alignment slack) exceeds device %s global memory G=%d",
-			workload, n, footprint, slack, devCfg.Name, devCfg.GlobalWords)
+		return nil, fmt.Errorf("experiments: footprint %d words (+%d alignment slack) exceeds device %s global memory G=%d",
+			footprint, slack, devCfg.Name, devCfg.GlobalWords)
 	}
 	devCfg.GlobalWords = need
-	dev, err := simgpu.New(devCfg)
-	if err != nil {
-		return nil, err
-	}
-	dev.SetUniformProver(analyze.UniformProver)
-	eng, err := transfer.NewEngine(r.link, r.cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	h, err := simgpu.NewHost(dev, eng, r.cfg.SyncCost)
+	h, err := BuildHost(devCfg, r.link, r.cfg.Scheme, r.cfg.SyncCost)
 	if err != nil {
 		return nil, err
 	}
 	if r.cfg.FaultRate > 0 {
-		seed := derivedSeed(r.cfg.FaultSeed, "fault", workload, n, idx)
-		inj, err := faults.NewRate(faults.RateConfig{
-			Seed:         seed,
-			TransferRate: r.cfg.FaultRate,
-			KernelRate:   r.cfg.FaultRate,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policy := transfer.DefaultRetryPolicy()
-		if r.cfg.MaxRetries > 0 {
-			policy.MaxRetries = r.cfg.MaxRetries
-		}
-		policy.Seed = seed + 1
-		if err := eng.SetFaults(inj, policy); err != nil {
-			return nil, err
-		}
-		if err := h.SetFaults(inj, r.cfg.Watchdog, 0); err != nil {
+		if err := ArmFaults(h, r.cfg.FaultRate, faultSeed, r.cfg.MaxRetries, r.cfg.Watchdog); err != nil {
 			return nil, err
 		}
 	}
@@ -378,11 +385,22 @@ func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Ho
 		}
 	}
 	if r.cfg.Lint != analyze.ModeOff {
-		// Analyse against the footprint-sized device the point actually
+		// Analyse against the footprint-sized device the run actually
 		// launches on, so bounds findings match its traps.
 		cp := r.params
 		h.SetPreLaunch(analyze.Gate(analyze.FromConfig(devCfg), &cp,
 			r.cfg.Lint, r.cfg.LintWriter))
+	}
+	return h, nil
+}
+
+// newHost builds a sweep point's host. Its fault seed derives from
+// (FaultSeed, workload, n, idx), so sweeps replay exactly at any worker
+// count, and its errors name the point.
+func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Host, error) {
+	h, err := r.NewHost(footprint, derivedSeed(r.cfg.FaultSeed, "fault", workload, n, idx))
+	if err != nil {
+		return nil, fmt.Errorf("%s n=%d: %w", workload, n, err)
 	}
 	return h, nil
 }
@@ -716,10 +734,7 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 // inputs draws one point's inputs from the stream seeded by (Seed,
 // domain, n, idx).
 func (r *Runner) inputs(w *Workload, domain string, n, idx int) [][]mem.Word {
-	if w.Inputs == nil {
-		return nil
-	}
-	return w.Inputs(r.inputRNG(domain, n, idx), n)
+	return w.draw(r.inputRNG(domain, n, idx), n)
 }
 
 // RunVecAdd sweeps vector addition (paper §IV-A).
@@ -740,11 +755,11 @@ func (r *Runner) PredictPoint(workload string, n int) (WorkloadPoint, error) {
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
-	a, err := w.Analyze(n, r.cfg.Device.WarpWidth, r.modelParams)
+	a, err := w.Analyze(n, r.cfg.Device.WarpWidth, r.ModelParams)
 	if err != nil {
 		return WorkloadPoint{}, fmt.Errorf("analyze: %w", err)
 	}
-	pt, err := r.predict(a)
+	pt, err := r.Predict(a)
 	if err != nil {
 		return WorkloadPoint{}, fmt.Errorf("predict: %w", err)
 	}
@@ -752,8 +767,9 @@ func (r *Runner) PredictPoint(workload string, n int) (WorkloadPoint, error) {
 	return pt, nil
 }
 
-// predict fills the model-side fields of a point from an analysis.
-func (r *Runner) predict(a *core.Analysis) (WorkloadPoint, error) {
+// Predict prices an analysis on the calibrated parameters, filling the
+// model-side fields of a point (ATGPUCost, SWGPUCost, DeltaPredicted).
+func (r *Runner) Predict(a *core.Analysis) (WorkloadPoint, error) {
 	var pt WorkloadPoint
 	bd, err := core.GPUCostBreakdown(a, r.params)
 	if err != nil {

@@ -93,6 +93,21 @@ func WorkloadNames() []string {
 	return names
 }
 
+// draw draws a size-n point's inputs from rng (nil when the workload has
+// none).
+func (w *Workload) draw(rng *rand.Rand, n int) [][]mem.Word {
+	if w.Inputs == nil {
+		return nil
+	}
+	return w.Inputs(rng, n)
+}
+
+// RunInputs draws the inputs of a single size-n run, outside any sweep:
+// `atgpu run` and `simgpu` both draw from seed 1.
+func (w *Workload) RunInputs(n int) [][]mem.Word {
+	return w.draw(rand.New(rand.NewSource(1)), n)
+}
+
 // Kernel builds the kernel and block count of a size-n point's first
 // launch at warp width b: the buffer layout matches the run's, and for
 // multi-round workloads (reduce, scan) it is the first — largest — round.
@@ -186,6 +201,74 @@ func verifyFail(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{algorithms.ErrVerifyFail}, args...)...)
 }
 
+// The CPU checks of the workloads' runs. Each compares the device output
+// with the inputs in place, without allocating a reference the size of the
+// input, and fails with algorithms.ErrVerifyFail.
+
+// checkVecAdd checks c = a + b element by element.
+func checkVecAdd(in [][]mem.Word, c []mem.Word) error {
+	a, b := in[0], in[1]
+	if len(c) != len(a) {
+		return verifyFail("%d outputs want %d", len(c), len(a))
+	}
+	for i := range a {
+		if want := a[i] + b[i]; c[i] != want {
+			return verifyFail("c[%d] = %d want %d", i, c[i], want)
+		}
+	}
+	return nil
+}
+
+// checkSum checks a reduction's result.
+func checkSum(in [][]mem.Word, got mem.Word) error {
+	if want := algorithms.ReduceReference(in[0]); got != want {
+		return verifyFail("got %d want %d", got, want)
+	}
+	return nil
+}
+
+// checkMatMul checks C = A×B (row-major n×n). It accumulates each row's
+// dot products in one n-word buffer, walking B by rows, which runs several
+// times faster than a column walk per entry.
+func checkMatMul(n int, in [][]mem.Word, c []mem.Word) error {
+	a, b := in[0], in[1]
+	if len(c) != n*n {
+		return verifyFail("%d outputs want %d", len(c), n*n)
+	}
+	row := make([]mem.Word, n)
+	for i := 0; i < n; i++ {
+		clear(row)
+		for k, aik := range a[i*n : (i+1)*n] {
+			bk := b[k*n : (k+1)*n]
+			bk = bk[:len(row)]
+			for j := range row {
+				row[j] += aik * bk[j]
+			}
+		}
+		for j, want := range row {
+			if got := c[i*n+j]; got != want {
+				return verifyFail("C[%d][%d] = %d want %d", i, j, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// checkScan checks every inclusive prefix sum against a running sum.
+func checkScan(in [][]mem.Word, out []mem.Word) error {
+	if len(out) != len(in[0]) {
+		return verifyFail("%d outputs want %d", len(out), len(in[0]))
+	}
+	var sum mem.Word
+	for i, v := range in[0] {
+		sum += v
+		if out[i] != sum {
+			return verifyFail("prefix %d = %d want %d", i, out[i], sum)
+		}
+	}
+	return nil
+}
+
 // twoRand draws two independent length-n operands from [-1000, 1000].
 func twoRand(rng *rand.Rand, n int) [][]mem.Word {
 	return [][]mem.Word{randWords(rng, n), randWords(rng, n)}
@@ -218,8 +301,11 @@ var registry = []*Workload{
 		Footprint: func(n, _ int) int { return algorithms.VecAdd{N: n}.GlobalWords() },
 		Inputs:    twoRand,
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
-			_, err := algorithms.VecAdd{N: n}.Run(h, in[0], in[1])
-			return runErr(err)
+			c, err := algorithms.VecAdd{N: n}.Run(h, in[0], in[1])
+			if err != nil {
+				return runErr(err)
+			}
+			return checkVecAdd(in, c)
 		},
 		Pipelined: &Pipelined{
 			blocks: pipelinedBlocks,
@@ -230,8 +316,11 @@ var registry = []*Workload{
 				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.GlobalWords(b)
 			},
 			Run: func(h *simgpu.Host, n, chunks, streams int, in [][]mem.Word) error {
-				_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, in[0], in[1])
-				return err
+				c, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, in[0], in[1])
+				if err != nil {
+					return err
+				}
+				return checkVecAdd(in, c)
 			},
 		},
 		Panels: []Panel{{"fig3a", PredictedFigure}, {"fig3b", ObservedFigure}, {"fig3c", NormalisedFigure}, {"fig6a", DeltaFigure}},
@@ -253,10 +342,7 @@ var registry = []*Workload{
 			if err != nil {
 				return runErr(err)
 			}
-			if want := algorithms.ReduceReference(in[0]); got != want {
-				return verifyFail("got %d want %d", got, want)
-			}
-			return nil
+			return checkSum(in, got)
 		},
 		Pipelined: &Pipelined{
 			blocks: pipelinedBlocks,
@@ -271,10 +357,7 @@ var registry = []*Workload{
 				if err != nil {
 					return err
 				}
-				if want := algorithms.ReduceReference(in[0]); got != want {
-					return verifyFail("got %d want %d", got, want)
-				}
-				return nil
+				return checkSum(in, got)
 			},
 		},
 		Panels: []Panel{{"fig4a", PredictedFigure}, {"fig4b", ObservedFigure}, {"fig4c", NormalisedFigure}, {"fig6b", DeltaFigure}},
@@ -296,8 +379,11 @@ var registry = []*Workload{
 		Footprint: func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
 		Inputs:    func(rng *rand.Rand, n int) [][]mem.Word { return twoRand(rng, n*n) },
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
-			_, err := algorithms.MatMul{N: n}.Run(h, in[0], in[1])
-			return runErr(err)
+			c, err := algorithms.MatMul{N: n}.Run(h, in[0], in[1])
+			if err != nil {
+				return runErr(err)
+			}
+			return checkMatMul(n, in, c)
 		},
 		Pipelined: &Pipelined{
 			// The widest band launches bandTiles·(n/b) blocks.
@@ -316,8 +402,11 @@ var registry = []*Workload{
 				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.GlobalWords(b)
 			},
 			Run: func(h *simgpu.Host, n, chunks, streams int, in [][]mem.Word) error {
-				_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, in[0], in[1])
-				return err
+				c, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, in[0], in[1])
+				if err != nil {
+					return err
+				}
+				return checkMatMul(n, in, c)
 			},
 		},
 		// The paper has no normalised matmul panel.
@@ -347,11 +436,7 @@ var registry = []*Workload{
 			if err != nil {
 				return runErr(err)
 			}
-			// Spot-check the tail against the reference reduction.
-			if want := algorithms.ReduceReference(in[0]); got[n-1] != want {
-				return verifyFail("tail %d want %d", got[n-1], want)
-			}
-			return nil
+			return checkScan(in, got)
 		},
 	},
 	histogramWorkload("histogram", false),

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/kernel"
+	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/simgpu"
 )
@@ -152,5 +157,43 @@ func TestScanSweepCollectsObs(t *testing.T) {
 	}
 	if data.Points[0].Obs == nil || data.Obs == nil {
 		t.Fatal("scan sweep collected no observability report")
+	}
+}
+
+// TestRunChecksCatchOffByOne: every run check accepts the CPU reference's
+// output and rejects, with ErrVerifyFail, the same output with any one
+// word (first, middle or last) off by one.
+func TestRunChecksCatchOffByOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 6
+	vec, mat, seq := twoRand(rng, n), twoRand(rng, n*n), [][]mem.Word{randWords(rng, n)}
+	vecOut, err := algorithms.VecAddReference(vec[0], vec[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	matOut, err := algorithms.MatMulReference(mat[0], mat[1], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		out   []mem.Word
+		check func(out []mem.Word) error
+	}{
+		{"vecadd", vecOut, func(out []mem.Word) error { return checkVecAdd(vec, out) }},
+		{"reduce", []mem.Word{algorithms.ReduceReference(seq[0])}, func(out []mem.Word) error { return checkSum(seq, out[0]) }},
+		{"matmul", matOut, func(out []mem.Word) error { return checkMatMul(n, mat, out) }},
+		{"scan", algorithms.ScanReference(seq[0]), func(out []mem.Word) error { return checkScan(seq, out) }},
+	} {
+		if err := tc.check(tc.out); err != nil {
+			t.Errorf("%s: correct output rejected: %v", tc.name, err)
+		}
+		for _, i := range []int{0, len(tc.out) / 2, len(tc.out) - 1} {
+			bad := slices.Clone(tc.out)
+			bad[i]++
+			if err := tc.check(bad); !errors.Is(err, algorithms.ErrVerifyFail) {
+				t.Errorf("%s: output word %d off by one: err = %v, want ErrVerifyFail", tc.name, i, err)
+			}
+		}
 	}
 }

@@ -43,8 +43,8 @@ type Request struct {
 	// Sizes are the sweep sizes for sweep/pipeline kinds (default: the
 	// config's standard sweep for the workload).
 	Sizes []int `json:"sizes,omitempty"`
-	// Device is the simulated GPU preset: gtx650 (default), gtx1080,
-	// k40 or tiny.
+	// Device is the simulated GPU preset, spelled as simgpu.PresetNames
+	// lists it (default gtx650).
 	Device string `json:"device,omitempty"`
 	// Scheme is the transfer scheme: pageable (default), pinned or
 	// mapped.
@@ -93,21 +93,6 @@ const (
 	maxRequestSize = 1 << 26
 )
 
-// devicePreset resolves a device preset name.
-func devicePreset(name string) (simgpu.Config, error) {
-	switch name {
-	case "gtx650":
-		return simgpu.GTX650(), nil
-	case "gtx1080":
-		return simgpu.GTX1080(), nil
-	case "k40":
-		return simgpu.TeslaK40(), nil
-	case "tiny":
-		return simgpu.Tiny(), nil
-	}
-	return simgpu.Config{}, fmt.Errorf("unknown device %q (want gtx650, gtx1080, k40 or tiny)", name)
-}
-
 // schemeByName resolves a transfer scheme name.
 func schemeByName(name string) (transfer.Scheme, error) {
 	switch name {
@@ -139,7 +124,7 @@ func (r Request) Normalize() (Request, error) {
 	} else if r.SyncCostUs < 0 {
 		return r, fmt.Errorf("sync_cost_us %d invalid (use -1 for zero)", r.SyncCostUs)
 	}
-	if _, err := devicePreset(r.Device); err != nil {
+	if _, err := simgpu.PresetByName(r.Device); err != nil {
 		return r, err
 	}
 	if _, err := schemeByName(r.Scheme); err != nil {
@@ -199,7 +184,7 @@ func (r Request) Normalize() (Request, error) {
 // and one goroutine per job keeps point index 0 = request N for "run"
 // jobs, which the cache key relies on.
 func (r Request) config() (experiments.Config, error) {
-	dev, err := devicePreset(r.Device)
+	dev, err := simgpu.PresetByName(r.Device)
 	if err != nil {
 		return experiments.Config{}, err
 	}

@@ -21,6 +21,7 @@ package simgpu
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Config describes the simulated device.
@@ -214,6 +215,32 @@ func TeslaK40() Config {
 // Presets returns the named device presets available to experiments.
 func Presets() []Config {
 	return []Config{GTX650(), GTX1080(), TeslaK40()}
+}
+
+// presetsByFlag lists every preset under the spelling the CLIs and atgpud
+// accept, in help order.
+var presetsByFlag = []struct {
+	name string
+	cfg  func() Config
+}{{"gtx650", GTX650}, {"gtx1080", GTX1080}, {"k40", TeslaK40}, {"tiny", Tiny}}
+
+// PresetNames returns the spellings PresetByName accepts, in help order.
+func PresetNames() []string {
+	names := make([]string, len(presetsByFlag))
+	for i, p := range presetsByFlag {
+		names[i] = p.name
+	}
+	return names
+}
+
+// PresetByName returns the preset of that flag spelling (see PresetNames).
+func PresetByName(name string) (Config, error) {
+	for _, p := range presetsByFlag {
+		if p.name == name {
+			return p.cfg(), nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown device %q (want %s)", name, strings.Join(PresetNames(), ", "))
 }
 
 // Tiny returns a small device handy for unit tests: 2 SMs, 4-lane warps,
