@@ -9,10 +9,10 @@ import (
 	"atgpu/internal/mem"
 )
 
-// randNonNeg draws n words uniformly from [0, 2000], the histogram input
-// domain (bins index by value mod Bins, so values must be non-negative).
-func randNonNeg(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
+// randNonNeg fills w uniformly from [0, 2000], the histogram input domain
+// (bins index by value mod Bins, so values must be non-negative), and
+// returns it.
+func randNonNeg(rng *rand.Rand, w []mem.Word) []mem.Word {
 	for i := range w {
 		w[i] = mem.Word(rng.Intn(2001))
 	}

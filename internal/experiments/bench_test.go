@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// BenchmarkSweepWorkers measures the wall time of the default scaled
-// vecadd sweep (10 sizes, n = 10⁵ … 10⁶) at increasing worker counts —
-// the tentpole's speedup evidence. Points are embarrassingly parallel
-// (each builds its own device/engine/host), so on a multi-core machine
-// wall time should fall near-linearly until workers exceed cores; CI
-// uploads the numbers as BENCH_sweep.json.
-//
-// Calibration runs once per worker count, outside the timed loop.
 // BenchmarkPipelineOverlap measures the pipelined vecadd sweep — every
 // point simulates both the sequential-chunked and the overlapped
 // two-stream schedule — at increasing chunk counts. CI uploads the numbers
@@ -100,6 +92,16 @@ func BenchmarkAtomics(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepWorkers measures the wall time and allocation of the
+// default scaled vecadd sweep (10 sizes, n = 10⁵ … 10⁶) at increasing
+// worker counts. Points are embarrassingly parallel (each in flight has
+// its own device/engine/host and buffers), so on a multi-core machine wall
+// time should fall near-linearly until workers exceed cores; allocation
+// grows with workers, since each worker's points reuse their own buffers.
+// CI uploads the numbers, bytes_per_op and allocs_per_op included, as
+// BENCH_sweep.json.
+//
+// Calibration runs once per worker count, outside the timed loop.
 func BenchmarkSweepWorkers(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
@@ -113,6 +115,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.RunVecAdd(); err != nil {

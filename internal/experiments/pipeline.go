@@ -7,7 +7,6 @@ import (
 	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
-	"atgpu/internal/sched"
 	"atgpu/internal/simgpu"
 )
 
@@ -84,7 +83,7 @@ func (p PipelinePoint) PredictedSavingFraction() float64 {
 type PipelineData struct {
 	// Workload names the pipelined algorithm.
 	Workload string
-	// Points holds one entry per input size, ascending.
+	// Points holds one entry per input size, in the sweep's size order.
 	Points []PipelinePoint
 	// Records holds the canonical result records, one per point in
 	// point order, stamped with the run identity.
@@ -133,22 +132,21 @@ func (r *Runner) PipelineRecord(workload string, pt PipelinePoint) results.Recor
 	return rec
 }
 
-// runPipelineSweep mirrors runSweep for pipeline points: points are
-// self-contained, so the assembly is byte-identical for any worker count.
-// Panicking points are recorded as Failed with the stack in Err;
-// cancellation returns the partial data with ErrCancelled.
+// runPipelineSweep mirrors runSweep for pipeline points, dispatched
+// largest first: points are self-contained, so the assembly is
+// byte-identical for any worker count. Panicking points are recorded as
+// Failed with the stack in Err; cancellation returns the partial data
+// with ErrCancelled.
 func (r *Runner) runPipelineSweep(workload string, sizes []int, point func(idx, n int) (PipelinePoint, error)) (*PipelineData, error) {
 	data := &PipelineData{Workload: workload, Points: make([]PipelinePoint, len(sizes))}
-	errs := sched.RunOpts(r.cfg.ctx(), len(sizes),
-		sched.Options{Workers: r.cfg.workers(), Observer: r.cfg.SchedObserver},
-		func(i int) error {
-			pt, err := point(i, sizes[i])
-			if err != nil {
-				return err
-			}
-			data.Points[i] = pt
-			return nil
-		})
+	errs := r.dispatch(sizes, func(i int) error {
+		pt, err := point(i, sizes[i])
+		if err != nil {
+			return err
+		}
+		data.Points[i] = pt
+		return nil
+	})
 	cancelled, err := absorbSweepErrs(errs, func(i int, failed WorkloadPoint) {
 		data.Points[i] = PipelinePoint{N: sizes[i], Failed: true, Err: failed.Err}
 	})

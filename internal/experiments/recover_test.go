@@ -96,7 +96,8 @@ func TestSweepRealErrorsStillPropagate(t *testing.T) {
 // TestSweepCancellationFlushesPartialData drives the SIGINT path: a
 // context cancelled mid-sweep yields ErrCancelled plus partial data in
 // which every unrun point is marked Failed/cancelled — nothing is lost,
-// nothing is left unaccounted for.
+// nothing is left unaccounted for. Points dispatch largest first, so the
+// two largest complete and the two smallest never start.
 func TestSweepCancellationFlushesPartialData(t *testing.T) {
 	r := newTestRunner(t)
 	r.cfg.Workers = 1
@@ -104,8 +105,8 @@ func TestSweepCancellationFlushesPartialData(t *testing.T) {
 	r.cfg.Context = ctx
 	sizes := []int{64, 128, 256, 512}
 	data, err := r.runSweep("cancelly", sizes, func(idx, n int) (WorkloadPoint, error) {
-		if idx == 1 {
-			cancel() // points after this one must never start
+		if idx == 2 {
+			cancel() // points dispatched after this one must never start
 		}
 		return WorkloadPoint{N: n, TotalTime: 1}, nil
 	})
@@ -117,7 +118,7 @@ func TestSweepCancellationFlushesPartialData(t *testing.T) {
 	}
 	for i, p := range data.Points {
 		switch {
-		case i <= 1:
+		case i >= 2:
 			if p.Failed || p.TotalTime != 1 {
 				t.Errorf("point %d = %+v, want completed", i, p)
 			}

@@ -16,14 +16,18 @@
 // 2²⁶ reduction inputs, 1024² matrices), which take minutes under the
 // cycle-level simulator.
 //
-// Sweeps execute their points on Config.Workers goroutines. Every point is
-// fully isolated — its own Host/Device/Engine per the simgpu concurrency
-// contract — and draws its inputs and fault seeds from (Seed, workload, N,
-// point index) alone, so sweep output is byte-identical for any worker
-// count.
+// Sweeps execute their points on Config.Workers goroutines, largest size
+// first. Every point in flight is fully isolated — its own Host/Device/
+// Engine per the simgpu concurrency contract, over device memory and input
+// buffers no other running point touches — and draws its inputs and fault
+// seeds from (Seed, workload, N, point index) alone, so sweep output is
+// byte-identical for any worker count. Between points those buffers are
+// handed on: a point reuses a finished point's arrays when it fills at
+// least half of them, clearing the device words it uses first.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,6 +36,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -315,9 +320,10 @@ func (r *Runner) inputRNG(workload string, n, idx int) *rand.Rand {
 // BuildHost builds a fresh device, transfer engine and host on the device
 // config dev, with the analyzer's uniformity prover attached. It is the one
 // place the front doors assemble a host: callers size dev and layer
-// faults (ArmFaults), observability and lint on top.
-func BuildHost(dev simgpu.Config, link *transfer.Link, scheme transfer.Scheme, syncCost time.Duration) (*simgpu.Host, error) {
-	d, err := simgpu.New(dev)
+// faults (ArmFaults), observability and lint on top. A recycled device
+// array passed as buf... backs the global memory as in simgpu.New.
+func BuildHost(dev simgpu.Config, link *transfer.Link, scheme transfer.Scheme, syncCost time.Duration, buf ...mem.Word) (*simgpu.Host, error) {
+	d, err := simgpu.New(dev, buf...)
 	if err != nil {
 		return nil, err
 	}
@@ -359,8 +365,10 @@ func ArmFaults(h *simgpu.Host, rate float64, seed int64, maxRetries int, watchdo
 // preset's full G. A footprint the preset cannot hold fails here rather
 // than as an opaque Malloc error mid-run. With FaultRate > 0 the host is
 // armed with an injector seeded faultSeed; observability and the lint
-// pre-flight follow the config.
-func (r *Runner) NewHost(footprint int, faultSeed int64) (*simgpu.Host, error) {
+// pre-flight follow the config. A recycled device array passed as buf...
+// backs the global memory when the host fills at least half of it, so a
+// small host never keeps a large array alive.
+func (r *Runner) NewHost(footprint int, faultSeed int64, buf ...mem.Word) (*simgpu.Host, error) {
 	devCfg := r.cfg.Device
 	slack := 4 * devCfg.WarpWidth
 	need := footprint + slack
@@ -369,7 +377,7 @@ func (r *Runner) NewHost(footprint int, faultSeed int64) (*simgpu.Host, error) {
 			footprint, slack, devCfg.Name, devCfg.GlobalWords)
 	}
 	devCfg.GlobalWords = need
-	h, err := BuildHost(devCfg, r.link, r.cfg.Scheme, r.cfg.SyncCost)
+	h, err := BuildHost(devCfg, r.link, r.cfg.Scheme, r.cfg.SyncCost, recycle(buf, need)...)
 	if err != nil {
 		return nil, err
 	}
@@ -394,11 +402,11 @@ func (r *Runner) NewHost(footprint int, faultSeed int64) (*simgpu.Host, error) {
 	return h, nil
 }
 
-// newHost builds a sweep point's host. Its fault seed derives from
-// (FaultSeed, workload, n, idx), so sweeps replay exactly at any worker
-// count, and its errors name the point.
-func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Host, error) {
-	h, err := r.NewHost(footprint, derivedSeed(r.cfg.FaultSeed, "fault", workload, n, idx))
+// newHost builds a sweep point's host, over buf when NewHost recycles it.
+// Its fault seed derives from (FaultSeed, workload, n, idx), so sweeps
+// replay exactly at any worker count, and its errors name the point.
+func (r *Runner) newHost(footprint int, workload string, n, idx int, buf ...mem.Word) (*simgpu.Host, error) {
+	h, err := r.NewHost(footprint, derivedSeed(r.cfg.FaultSeed, "fault", workload, n, idx), buf...)
 	if err != nil {
 		return nil, fmt.Errorf("%s n=%d: %w", workload, n, err)
 	}
@@ -447,8 +455,9 @@ func (p WorkloadPoint) Degraded() bool {
 type WorkloadData struct {
 	// Workload is the registry name of the swept workload.
 	Workload string
-	// Points holds one entry per input size, ascending; under fault
-	// injection some may be Failed. Figures and summaries use Successful.
+	// Points holds one entry per input size, in the sweep's size order
+	// whatever order the points ran in; under fault injection some may
+	// be Failed. Figures and summaries use Successful.
 	Points []WorkloadPoint
 	// Records holds the canonical result records, one per point in
 	// point order, stamped with the run identity (machine, seed,
@@ -579,27 +588,26 @@ func (r *Runner) stampIdentity(rec *results.Record) {
 }
 
 // runSweep executes one point per size through point, dispatching to the
-// configured worker count via the shared scheduler, and assembles the
-// results in size order. Each point call must be self-contained (its own
-// host, its own derived seeds) so the assembly is byte-identical for any
-// worker count. On error the sweep reports the lowest-index failure — the
-// same error a sequential run would have stopped on, since every earlier
-// point succeeded. A panicking point does not crash the sweep (or the
-// process hosting it): it is recorded as a Failed point with the stack in
-// its fault log. Cancellation via Config.Context records undispatched
-// points as Failed and returns the partial data with ErrCancelled.
+// configured worker count largest size first (see dispatch), and assembles
+// the results in size order. Each point call must be self-contained while
+// it runs (its own host and buffers, its own derived seeds) so the
+// assembly is byte-identical for any worker count. Every point runs
+// whatever the others return; on error the sweep reports the lowest-index
+// failure, so the error too is the same for any worker count. A panicking
+// point does not crash the sweep (or the process hosting it): it is
+// recorded as a Failed point with the stack in its fault log.
+// Cancellation via Config.Context records undispatched points as Failed
+// and returns the partial data with ErrCancelled.
 func (r *Runner) runSweep(workload string, sizes []int, point func(idx, n int) (WorkloadPoint, error)) (*WorkloadData, error) {
 	data := &WorkloadData{Workload: workload, Points: make([]WorkloadPoint, len(sizes))}
-	errs := sched.RunOpts(r.cfg.ctx(), len(sizes),
-		sched.Options{Workers: r.cfg.workers(), Observer: r.cfg.SchedObserver},
-		func(i int) error {
-			pt, err := point(i, sizes[i])
-			if err != nil {
-				return err
-			}
-			data.Points[i] = pt
-			return nil
-		})
+	errs := r.dispatch(sizes, func(i int) error {
+		pt, err := point(i, sizes[i])
+		if err != nil {
+			return err
+		}
+		data.Points[i] = pt
+		return nil
+	})
 	cancelled, err := absorbSweepErrs(errs, func(i int, failed WorkloadPoint) {
 		failed.N = sizes[i]
 		data.Points[i] = failed
@@ -624,6 +632,71 @@ func (r *Runner) runSweep(workload string, sizes []int, point func(idx, n int) (
 		return data, ErrCancelled
 	}
 	return data, nil
+}
+
+// dispatch runs job(i) for every index of sizes on the configured workers
+// through the shared scheduler, largest size first and stable among equal
+// sizes, and returns the per-index errors. Largest first keeps the longest
+// point off the serial tail, and lets the first points size the buffers
+// the later, smaller ones reuse.
+func (r *Runner) dispatch(sizes []int, job func(i int) error) []error {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	return sched.RunOpts(r.cfg.ctx(), len(sizes),
+		sched.Options{Workers: r.cfg.workers(), Observer: r.cfg.SchedObserver, Order: order}, job)
+}
+
+// workspace is the reusable memory of one sweep point: the device global
+// array and the input buffers. A sweep hands workspaces from point to
+// point but never lends one to two points running at once.
+type workspace struct {
+	global []mem.Word
+	inputs [][]mem.Word
+}
+
+// recycle returns buf when a need-word use fills at least half of it, and
+// nil otherwise. Retention thus follows the sizes being run: a small point
+// never keeps a large array alive.
+func recycle(buf []mem.Word, need int) []mem.Word {
+	if need <= cap(buf) && 2*need >= cap(buf) {
+		return buf
+	}
+	return nil
+}
+
+// draw draws a size-n point's inputs from rng into the workspace's input
+// buffers, replacing any that recycle refuses with fresh ones.
+func (ws *workspace) draw(w *Workload, rng *rand.Rand, n int) [][]mem.Word {
+	k := 0
+	return w.draw(rng, n, func(length int) []mem.Word {
+		if k == len(ws.inputs) {
+			ws.inputs = append(ws.inputs, nil)
+		}
+		buf := recycle(ws.inputs[k], length)
+		if buf == nil {
+			buf = make([]mem.Word, length)
+			ws.inputs[k] = buf
+		}
+		k++
+		return buf[:length]
+	})
+}
+
+// workspaces is one sweep's pool of idle workspaces. Its buffer holds one
+// per worker, the most that can exist, so handing one back never blocks.
+type workspaces chan *workspace
+
+// take returns an idle workspace, or a new empty one when none is idle.
+func (p workspaces) take() *workspace {
+	select {
+	case ws := <-p:
+		return ws
+	default:
+		return new(workspace)
+	}
 }
 
 // absorbSweepErrs folds a scheduler error slice into per-point outcomes:
@@ -664,19 +737,17 @@ func (r *Runner) newSweepReport() *obs.Report {
 	return rep
 }
 
-// randWords draws n words uniformly from [-1000, 1000].
-func randWords(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
+// randWords fills w uniformly from [-1000, 1000] and returns it.
+func randWords(rng *rand.Rand, w []mem.Word) []mem.Word {
 	for i := range w {
 		w[i] = mem.Word(rng.Intn(2001) - 1000)
 	}
 	return w
 }
 
-// randBits draws n words from {0,1}, the paper's reduction inputs
-// ("randomly generated vectors of 0/1 values").
-func randBits(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
+// randBits fills w from {0,1}, the paper's reduction inputs ("randomly
+// generated vectors of 0/1 values"), and returns it.
+func randBits(rng *rand.Rand, w []mem.Word) []mem.Word {
 	for i := range w {
 		w[i] = mem.Word(rng.Intn(2))
 	}
@@ -701,7 +772,8 @@ func (c Config) SweepSizes(workload string) ([]int, error) {
 // Sweep runs a registered workload's predicted-versus-observed sweep over
 // its effective sizes: per point, the model analysis priced on the
 // calibrated parameters, then an observed run on a fresh host with
-// per-point fault isolation.
+// per-point fault isolation. The hosts' device memory and the inputs come
+// from a pool of workspaces that lives as long as the call.
 func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 	w, err := Lookup(workload)
 	if err != nil {
@@ -712,17 +784,21 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 		return nil, err
 	}
 	b := r.cfg.Device.WarpWidth
+	pool := make(workspaces, r.cfg.workers())
 	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
 		pt, err := r.PredictPoint(w.Name, n)
 		if err != nil {
 			return WorkloadPoint{}, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
 		}
+		ws := pool.take()
+		defer func() { pool <- ws }()
 		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(w.Footprint(n, b), w.Name, n, idx)
+			h, err := r.newHost(w.Footprint(n, b), w.Name, n, idx, ws.global...)
 			if err != nil {
 				return nil, err
 			}
-			if err := w.Run(h, n, r.inputs(w, w.Name, n, idx)); err != nil {
+			ws.global = h.Device().Global().Raw()
+			if err := w.Run(h, n, ws.draw(w, r.inputRNG(w.Name, n, idx), n)); err != nil {
 				return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
 			}
 			return h, nil
@@ -731,10 +807,10 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 	})
 }
 
-// inputs draws one point's inputs from the stream seeded by (Seed,
-// domain, n, idx).
+// inputs draws one point's inputs, into fresh buffers, from the stream
+// seeded by (Seed, domain, n, idx).
 func (r *Runner) inputs(w *Workload, domain string, n, idx int) [][]mem.Word {
-	return w.draw(r.inputRNG(domain, n, idx), n)
+	return w.draw(r.inputRNG(domain, n, idx), n, freshWords)
 }
 
 // RunVecAdd sweeps vector addition (paper §IV-A).

@@ -41,8 +41,10 @@ type Workload struct {
 	// Footprint is the device words a size-n point allocates at warp
 	// width b.
 	Footprint func(n, b int) int
-	// Inputs draws a size-n point's inputs (nil: the workload has none).
-	Inputs func(rng *rand.Rand, n int) [][]mem.Word
+	// Inputs draws a size-n point's inputs from rng into buffers it takes
+	// from buf, which returns a length-word slice the draw overwrites in
+	// full (nil: the workload has no inputs).
+	Inputs func(rng *rand.Rand, n int, buf func(length int) []mem.Word) [][]mem.Word
 	// Run executes a size-n point on h over its inputs and checks the
 	// result against the CPU reference where the workload has one.
 	Run func(h *simgpu.Host, n int, in [][]mem.Word) error
@@ -93,19 +95,22 @@ func WorkloadNames() []string {
 	return names
 }
 
-// draw draws a size-n point's inputs from rng (nil when the workload has
-// none).
-func (w *Workload) draw(rng *rand.Rand, n int) [][]mem.Word {
+// draw draws a size-n point's inputs from rng into buffers taken from buf
+// (nil when the workload has none).
+func (w *Workload) draw(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
 	if w.Inputs == nil {
 		return nil
 	}
-	return w.Inputs(rng, n)
+	return w.Inputs(rng, n, buf)
 }
 
-// RunInputs draws the inputs of a single size-n run, outside any sweep:
-// `atgpu run` and `simgpu` both draw from seed 1.
+// freshWords is the input buffer source of draws that keep no buffers.
+func freshWords(length int) []mem.Word { return make([]mem.Word, length) }
+
+// RunInputs draws the inputs of a single size-n run, outside any sweep,
+// into fresh buffers: `atgpu run` and `simgpu` both draw from seed 1.
 func (w *Workload) RunInputs(n int) [][]mem.Word {
-	return w.draw(rand.New(rand.NewSource(1)), n)
+	return w.draw(rand.New(rand.NewSource(1)), n, freshWords)
 }
 
 // Kernel builds the kernel and block count of a size-n point's first
@@ -270,8 +275,8 @@ func checkScan(in [][]mem.Word, out []mem.Word) error {
 }
 
 // twoRand draws two independent length-n operands from [-1000, 1000].
-func twoRand(rng *rand.Rand, n int) [][]mem.Word {
-	return [][]mem.Word{randWords(rng, n), randWords(rng, n)}
+func twoRand(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+	return [][]mem.Word{randWords(rng, buf(n)), randWords(rng, buf(n))}
 }
 
 // pipelinedBlocks is the widest chunk's launch for the one-dimensional
@@ -336,7 +341,9 @@ var registry = []*Workload{
 		},
 		analyze:   func(n int, p core.Params) (*core.Analysis, error) { return algorithms.Reduce{N: n}.Analyze(p) },
 		Footprint: func(n, b int) int { return algorithms.Reduce{N: n}.GlobalWords(b) },
-		Inputs:    func(rng *rand.Rand, n int) [][]mem.Word { return [][]mem.Word{randBits(rng, n)} },
+		Inputs: func(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			return [][]mem.Word{randBits(rng, buf(n))}
+		},
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
 			got, err := algorithms.Reduce{N: n}.Run(h, in[0])
 			if err != nil {
@@ -377,7 +384,9 @@ var registry = []*Workload{
 		},
 		analyze:   func(n int, p core.Params) (*core.Analysis, error) { return algorithms.MatMul{N: n}.Analyze(p) },
 		Footprint: func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
-		Inputs:    func(rng *rand.Rand, n int) [][]mem.Word { return twoRand(rng, n*n) },
+		Inputs: func(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			return twoRand(rng, n*n, buf)
+		},
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
 			c, err := algorithms.MatMul{N: n}.Run(h, in[0], in[1])
 			if err != nil {
@@ -424,8 +433,8 @@ var registry = []*Workload{
 		},
 		analyze:   func(n int, p core.Params) (*core.Analysis, error) { return algorithms.Scan{N: n}.Analyze(p) },
 		Footprint: func(n, b int) int { return algorithms.Scan{N: n}.GlobalWords(b) },
-		Inputs: func(_ *rand.Rand, n int) [][]mem.Word {
-			in := make([]mem.Word, n)
+		Inputs: func(_ *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			in := buf(n)
 			for i := range in {
 				in[i] = mem.Word(i%3 - 1)
 			}
@@ -455,8 +464,8 @@ var registry = []*Workload{
 		Footprint: func(n, _ int) int { return algorithms.Compact{N: n}.GlobalWords() },
 		// Roughly half the elements survive: draw from [-1000,1000] and
 		// zero every third.
-		Inputs: func(rng *rand.Rand, n int) [][]mem.Word {
-			in := randWords(rng, n)
+		Inputs: func(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			in := randWords(rng, buf(n))
 			for i := 0; i < n; i += 3 {
 				in[i] = 0
 			}
@@ -483,7 +492,9 @@ var registry = []*Workload{
 		},
 		analyze:   func(n int, p core.Params) (*core.Analysis, error) { return topK(n).Analyze(p) },
 		Footprint: func(n, _ int) int { return topK(n).GlobalWords() },
-		Inputs:    func(rng *rand.Rand, n int) [][]mem.Word { return [][]mem.Word{randWords(rng, n)} },
+		Inputs: func(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			return [][]mem.Word{randWords(rng, buf(n))}
+		},
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
 			alg := topK(n)
 			got, err := alg.Run(h, in[0])
@@ -543,7 +554,9 @@ func histogramWorkload(name string, privatized bool) *Workload {
 		},
 		analyze:   func(n int, p core.Params) (*core.Analysis, error) { return histogram(n, privatized).Analyze(p) },
 		Footprint: func(n, _ int) int { return histogram(n, privatized).GlobalWords() },
-		Inputs:    func(rng *rand.Rand, n int) [][]mem.Word { return [][]mem.Word{randNonNeg(rng, n)} },
+		Inputs: func(rng *rand.Rand, n int, buf func(int) []mem.Word) [][]mem.Word {
+			return [][]mem.Word{randNonNeg(rng, buf(n))}
+		},
 		Run: func(h *simgpu.Host, n int, in [][]mem.Word) error {
 			alg := histogram(n, privatized)
 			got, err := alg.Run(h, in[0])

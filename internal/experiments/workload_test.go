@@ -166,7 +166,7 @@ func TestScanSweepCollectsObs(t *testing.T) {
 func TestRunChecksCatchOffByOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 6
-	vec, mat, seq := twoRand(rng, n), twoRand(rng, n*n), [][]mem.Word{randWords(rng, n)}
+	vec, mat, seq := twoRand(rng, n, freshWords), twoRand(rng, n*n, freshWords), [][]mem.Word{randWords(rng, freshWords(n))}
 	vecOut, err := algorithms.VecAddReference(vec[0], vec[1])
 	if err != nil {
 		t.Fatal(err)

@@ -36,16 +36,26 @@ var (
 	ErrMisalignedLen = errors.New("mem: length not a multiple of block size")
 )
 
-// NewGlobal creates a global memory of size words split into blocks of
-// blockSize words (the model's b).
-func NewGlobal(size, blockSize int) (*Global, error) {
+// NewGlobal creates a zeroed global memory of size words split into
+// blocks of blockSize words (the model's b). Passing a recycled array as
+// NewGlobal(size, blockSize, buf...) lays the memory over buf's backing
+// array when its capacity holds size words, clearing only [:size], so
+// the memory reads exactly as a fresh one; otherwise, or without buf, a
+// fresh array is allocated. The caller must not use buf while the
+// memory is live.
+func NewGlobal(size, blockSize int, buf ...Word) (*Global, error) {
 	if blockSize <= 0 {
 		return nil, ErrBadBlockSize
 	}
 	if size < 0 {
 		return nil, ErrBadSize
 	}
-	return &Global{words: make([]Word, size), blockSize: blockSize}, nil
+	if cap(buf) < size {
+		return &Global{words: make([]Word, size), blockSize: blockSize}, nil
+	}
+	words := buf[:size]
+	clear(words)
+	return &Global{words: words, blockSize: blockSize}, nil
 }
 
 // Size returns G, the capacity in words.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -171,5 +172,32 @@ func TestArenaExactFit(t *testing.T) {
 	}
 	if _, err := a.Alloc(1); !errors.Is(err, ErrSizeExceeded) {
 		t.Errorf("alloc past capacity: %v", err)
+	}
+}
+
+// TestNewGlobalRecycled: a recycled array backs the memory when it holds
+// size words, with [:size] cleared and the words beyond left alone; a
+// short one is replaced by a fresh array and left untouched.
+func TestNewGlobalRecycled(t *testing.T) {
+	buf := []Word{1, 2, 3, 4, 5, 6, 7, 8}
+	g, err := NewGlobal(6, 4, buf...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := g.Raw()
+	if len(raw) != 6 || &raw[0] != &buf[0] {
+		t.Fatalf("len %d, shares buf %v: want the first 6 words of buf", len(raw), &raw[0] == &buf[0])
+	}
+	if got := fmt.Sprint(buf); got != "[0 0 0 0 0 0 7 8]" {
+		t.Errorf("buf = %s, want [:6] cleared and the rest untouched", got)
+	}
+
+	short := []Word{9, 9}
+	g, err = NewGlobal(4, 4, short...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := g.Raw(); len(raw) != 4 || raw[0] != 0 || short[0] != 9 {
+		t.Fatalf("short buf: memory %v, buf %v: want a fresh zeroed array and buf untouched", raw, short)
 	}
 }

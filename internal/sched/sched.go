@@ -6,8 +6,9 @@
 // cancelled batch must report exactly which indices never ran" contracts
 // live.
 //
-// Determinism contract: Run dispatches indices 0..n-1 in order and the
-// caller assembles results by index, so batch output is independent of
+// Determinism contract: Run dispatches indices 0..n-1 in order (or in
+// the fixed order Options.Order gives) and the caller assembles results
+// by index, so batch output is independent of
 // the worker count and of goroutine scheduling (provided each job is
 // self-contained, as the experiments points are). Cancellation is the
 // only scheduling-dependent outcome: which indices were already
@@ -82,6 +83,10 @@ type Options struct {
 	Workers int
 	// Observer, when non-nil, receives JobStart/JobDone callbacks.
 	Observer Observer
+	// Order, when non-nil, is the permutation of 0..n-1 to dispatch the
+	// jobs in; nil dispatches them in index order. Error slots and
+	// observer callbacks carry the job's index either way.
+	Order []int
 }
 
 // Run executes fn(0) … fn(n-1) on up to workers goroutines and returns
@@ -115,17 +120,21 @@ func RunOpts(ctx context.Context, n int, opts Options, fn func(i int) error) []e
 			obs.JobDone(i, -1, errs[i])
 		}
 	}
+	at := func(k int) int { return k }
+	if opts.Order != nil {
+		at = func(k int) int { return opts.Order[k] }
+	}
 	workers := opts.Workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			i := at(k)
 			if ctx.Err() != nil {
 				cancelled(i)
 				continue
 			}
-			i := i
 			if obs != nil {
 				obs.JobStart(i, 0)
 			}
@@ -158,18 +167,18 @@ func RunOpts(ctx context.Context, n int, opts Options, fn func(i int) error) []e
 			}
 		}()
 	}
-	i := 0
+	k := 0
 dispatch:
-	for ; i < n; i++ {
+	for ; k < n; k++ {
 		select {
-		case jobs <- i:
+		case jobs <- at(k):
 		case <-ctx.Done():
 			break dispatch
 		}
 	}
 	close(jobs)
-	for ; i < n; i++ {
-		cancelled(i)
+	for ; k < n; k++ {
+		cancelled(at(k))
 	}
 	wg.Wait()
 	return errs

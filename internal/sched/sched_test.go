@@ -132,3 +132,38 @@ func TestRunNilContext(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOrder: Options.Order sets the dispatch order, while error slots
+// and observer callbacks keep each job's own index, and a cancellation
+// marks exactly the jobs the order had not reached.
+func TestRunOrder(t *testing.T) {
+	order := []int{3, 0, 2, 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	o := newRecordingObserver()
+	var ran []int
+	errs := RunOpts(ctx, len(order), Options{Workers: 1, Observer: o, Order: order}, func(i int) error {
+		ran = append(ran, i)
+		if i == 0 {
+			cancel()
+		}
+		return fmt.Errorf("job %d", i)
+	})
+	if fmt.Sprint(ran) != "[3 0]" {
+		t.Fatalf("ran %v, want [3 0]", ran)
+	}
+	for i, err := range errs {
+		switch i {
+		case 0, 3:
+			if err == nil || err.Error() != fmt.Sprintf("job %d", i) {
+				t.Errorf("slot %d = %v, want its own job's error", i, err)
+			}
+			if w, ok := o.started[i]; !ok || w != 0 {
+				t.Errorf("job %d: JobStart worker %d (reported %v), want 0", i, w, ok)
+			}
+		default:
+			if !errors.Is(err, ErrCancelled) || o.doneW[i] != -1 {
+				t.Errorf("slot %d = %v on worker %d, want cancelled before start", i, err, o.doneW[i])
+			}
+		}
+	}
+}

@@ -115,12 +115,15 @@ var (
 	ErrLastActiveSM = errors.New("simgpu: cannot fail the last active SM")
 )
 
-// New creates a device with cfg's global memory allocated.
-func New(cfg Config) (*Device, error) {
+// New creates a device with cfg's global memory allocated. Passing a
+// recycled array as New(cfg, buf...) lays the global memory over it
+// instead when it holds cfg.GlobalWords words (see mem.NewGlobal); the
+// device then owns buf until the caller is done with the device.
+func New(cfg Config, buf ...mem.Word) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := mem.NewGlobal(cfg.GlobalWords, cfg.WarpWidth)
+	g, err := mem.NewGlobal(cfg.GlobalWords, cfg.WarpWidth, buf...)
 	if err != nil {
 		return nil, err
 	}
